@@ -25,6 +25,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .enumeration import StreamExhausted, WavenumberStream
 from .spaces import CoefficientOracle, DivergentNormError, SpaceConfig, seq_norm
 from .weights import WeightModel
@@ -65,13 +67,18 @@ TOLERANCE_MET = "ToleranceMet"
 BUDGET_EXHAUSTED = "BudgetExhausted"
 DEFAULT_BUDGET_CAP = 10 ** 6
 
+_EPS = sys.float_info.epsilon
 # Bracket subtractions clamp negatives within this relative window to zero;
 # anything more negative is a violated precondition, not round-off.
-_CLAMP = 1e3 * sys.float_info.epsilon
-_FORWARD_SWITCH = 1e-6  # below this fraction of the total, subtraction is noise
-_FORWARD_REMAINDER = 1e-10
-_FORWARD_SERVE = 1e-8  # cached suffix must dominate a certificate closing bound
-_FORWARD_CAP = 8192
+_CLAMP = 1e3 * _EPS
+_SLACK = 64.0 * _EPS  # upward rounding allowance of a certified power sum, relative
+# A tail value is accepted once its unverified part (the slack of a plain
+# subtraction, or the bound past a window) is at most this share of its p-th
+# power; subtraction so serves while the tail keeps about 2**-20 of the total.
+_TIGHT = 2.0 ** -26
+_WINDOW_CAP = 8192  # longest window summed term by term
+_NORMAL = sys.float_info.min / _EPS  # smallest scaled sum kept at full precision
+_BLOCK = 256  # prefix extensions at least this long run vectorised
 _TIE_SLACK = 1.0 + 1e-12
 
 
@@ -135,6 +142,11 @@ class PilotConeSpec:
         if not self.inflation > 1.0:
             raise ValueError("inflation must exceed 1")
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "PilotConeSpec":
+        """Spec from a ``{"size": ..., "inflation": ...}`` config block."""
+        return cls(pilot_size=int(data["size"]), inflation=float(data["inflation"]))
+
 
 @dataclass(frozen=True)
 class TrackingConeSpec:
@@ -167,6 +179,18 @@ class TrackingConeSpec:
                 raise ValueError("arithmetic block growth needs step >= 1")
         else:
             raise ValueError(f"unknown block sequence kind {self.kind!r}")
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TrackingConeSpec":
+        """Spec from a CLI config block; keys that are not fields are ignored."""
+        return cls(
+            start=int(data["start"]),
+            inflation=float(data["inflation"]),
+            decay=float(data["decay"]),
+            kind=data.get("kind", "geometric"),
+            factor=int(data.get("factor", 2)),
+            step=int(data.get("step", 0)),
+        )
 
     def size(self, j: int) -> int:
         """Stream position ending block ``j`` (``j = -1`` gives 0)."""
@@ -229,8 +253,7 @@ class _Accumulator:
     __slots__ = ("_sum", "_comp")
 
     def __init__(self) -> None:
-        self._sum = 0.0
-        self._comp = 0.0
+        self._sum = self._comp = 0.0
 
     def add(self, x: float) -> None:
         t = self._sum + x
@@ -244,67 +267,76 @@ class _Accumulator:
     def value(self) -> float:
         return self._sum + self._comp
 
+    def extend(self, values: np.ndarray) -> np.ndarray:
+        """Add each value in turn, vectorised; returns the running values after each."""
+        run = np.cumsum(np.concatenate(([self._sum], values)))
+        back = run[1:] - run[:-1]  # two-sum: the same exact error of every addition
+        comps = np.cumsum(np.concatenate(([self._comp], (run[:-1] - (run[1:] - back)) + (values - back))))
+        self._sum, self._comp = float(run[-1]), float(comps[-1])
+        return run[1:] + comps[1:]
+
+
+class _PowerSums:
+    """Compensated prefix sums of ``weight**exponent`` over the stream buffer."""
+
+    def __init__(self, exponent: float):
+        self.exponent = exponent
+        self._sums = [0.0]  # sums[i]: the first i powers
+        self._acc = _Accumulator()
+
+    def at(self, weights: np.ndarray, n: int) -> float:
+        """Sum of the first ``n`` powers; ``weights`` holds at least ``n`` entries."""
+        lo = len(self._sums) - 1
+        if n - lo >= _BLOCK:
+            self._sums.extend(self._acc.extend(weights[lo:n] ** self.exponent).tolist())
+        elif n > lo:  # a few entries, as a scan grows: numpy's per-call cost would dominate
+            for lam in weights[lo:n].tolist():
+                self._acc.add(lam ** self.exponent)
+                self._sums.append(self._acc.value)
+        return self._sums[n]
+
 
 class _TailNorms:
-    """Incremental tail norms of the weight stream.
+    """Certified tail norms of the weight stream.
 
-    ``tail(n)`` is the tail_exponent-norm of all weights strictly after the
-    first ``n`` stream entries: an analytic power sum minus a compensated
-    prefix for a finite exponent, the next emitted weight for an infinite
-    one.  Negative differences inside the round-off clamp are zeroed;
-    larger ones indicate an inconsistent model and raise.
-
-    Subtraction is only trusted while the remainder stays a healthy fraction
-    of the total.  Below that the lost mass can exceed float precision of the
-    total while its root is still macroscopic, so the tail is re-summed
-    forward over the stream, scaled by its head weight against underflow,
-    and closed with an analytic remainder bound at a smaller exponent whose
-    power sum converges.  The forward value never undershoots the true tail.
+    ``tail(n)`` bounds from above the tail_exponent-norm of all weights after
+    the first ``n`` stream entries: the next weight at an infinite exponent,
+    and at a finite exponent ``p`` the formula ``S(n, N) + R(N)`` raised to
+    ``1/p`` and rounded upward by an explicit slack.  ``S(n, N)`` sums the
+    powers of the emitted weights at positions ``n..N-1`` term by term (all
+    positive, so nothing cancels).  ``R(N)`` bounds the mass past the window
+    by the tighter of the analytic power sum minus the compensated prefix
+    sum plus slack, and ``weight(N)**(p-q)`` times the mass left at an
+    auxiliary exponent ``q < p``.  The window is empty (plain subtraction
+    plus slack) while the slack is at most ``_TIGHT`` of the value; else it
+    grows a quarter at a time until ``R(N)`` is at most ``_TIGHT`` of the
+    value, or up to ``_WINDOW_CAP`` entries (certified, but no tighter than
+    subtraction).  Its reverse cumulative sums serve later queries while it
+    stays tight for them, so a value may depend on the queries before it.
+    Negative subtractions beyond the round-off clamp raise.
     """
 
     def __init__(self, config: SpaceConfig, model: WeightModel, stream: WavenumberStream):
         if stream.model is not model and stream.model != model:
             raise ValueError("stream was built over a different weight model")
-        self.config = config
-        self.model = model
         self.stream = stream
-        self.exponent = config.tail_exponent
-        if math.isinf(self.exponent):
+        p = self.exponent = config.tail_exponent
+        if math.isinf(p):
             self.total = None
-        else:
-            total = model.weight_power_sum(self.exponent)
-            if math.isinf(total):
-                raise DivergentNormError(
-                    "weight power sum diverges at the tail exponent; "
-                    "no finite certificate exists on this space"
-                )
-            self.total = total
-        self._acc = _Accumulator()
-        self._prefix: List[float] = [0.0]  # prefix[i] = sum of first i powers
-        self._exhausted_at: Optional[int] = None
-        self._aux: Optional[Tuple[float, float]] = None
-        self._aux_checked = False
-        self._q_powers: List[float] = [0.0]  # prefix sums at the auxiliary exponent
-        self._fwd_start = -1
-        self._fwd_head = 1.0
-        self._fwd_suffix: List[float] = []  # scaled suffix sums, closing included
-        self._fwd_closing = math.inf
-        self._fwd_guarded = False
-
-    def _extend(self, n: int) -> None:
-        while len(self._prefix) <= n:
-            index = len(self._prefix) - 1
-            if self._exhausted_at is not None:
-                self._prefix.append(self._prefix[-1])
-                continue
-            try:
-                lam = self.stream.entry(index)[1]
-            except StreamExhausted:
-                self._exhausted_at = index
-                self._prefix.append(self._prefix[-1])
-                continue
-            self._acc.add(lam ** self.exponent)
-            self._prefix.append(self._acc.value)
+            return
+        self.total = model.weight_power_sum(p)
+        if math.isinf(self.total):
+            raise DivergentNormError(
+                "weight power sum diverges at the tail exponent; "
+                "no finite certificate exists on this space"
+            )
+        self._sums = _PowerSums(p)
+        # auxiliary bound: the smallest grid exponent q < p with a finite power sum
+        grid = ((p * frac, model.weight_power_sum(p * frac)) for frac in (0.125, 0.25, 0.5, 0.75, 0.875))
+        self._aux = next(((q, t, _PowerSums(q)) for q, t in grid if math.isfinite(t)), None)
+        self._close = (_TIGHT / (1.0 - _TIGHT)) ** (1.0 / p)  # share of the window norm
+        # last window: start, end, head weight, scaled suffix sums, R(end)**(1/p), capped
+        self._window: tuple = (0, 0, 1.0, None, 0.0, False)
 
     def tail(self, n: int) -> float:
         if n < 0:
@@ -314,106 +346,68 @@ class _TailNorms:
                 return self.stream.entry(n)[1]
             except StreamExhausted:
                 return 0.0
-        self._extend(n)
-        if self._exhausted_at is not None and n >= self._exhausted_at:
+        weights = self.stream.weights(n)
+        if len(weights) < n:
             return 0.0
-        remainder = self.total - self._prefix[n]
+        remainder = self.total - self._sums.at(weights, n)
         if remainder < -_CLAMP * max(self.total, 1.0):
             raise ArithmeticError(
                 f"tail power sum went negative beyond round-off at n={n}: {remainder!r}"
             )
-        if remainder >= _FORWARD_SWITCH * self.total:
-            return remainder ** (1.0 / self.exponent)
-        return self._forward_tail(n)
+        slack = _SLACK * self.total
+        if slack <= _TIGHT * (remainder + slack):
+            return (remainder + slack) ** (1.0 / self.exponent)
+        return self._windowed(n)
 
-    def _auxiliary(self) -> Optional[Tuple[float, float]]:
-        # smallest grid exponent below tail_exponent with a finite power sum
-        if not self._aux_checked:
-            self._aux_checked = True
-            for frac in (0.125, 0.25, 0.5, 0.75, 0.875):
-                q = self.exponent * frac
-                total = self.model.weight_power_sum(q)
-                if math.isfinite(total):
-                    self._aux = (q, total)
-                    break
-        return self._aux
+    def _remainder_root(self, weights: np.ndarray, end: int) -> float:
+        """``R(end)**(1/p)``; ``weights`` holds more than ``end`` entries."""
+        p, total = self.exponent, self.total
+        root = (max(total - self._sums.at(weights, end), 0.0) + _SLACK * total) ** (1.0 / p)
+        if self._aux is not None:
+            q, q_total, q_sums = self._aux
+            q_rest = max(q_total - q_sums.at(weights, end), 0.0) + _SLACK * q_total
+            root = min(root, float(weights[end]) ** (1.0 - q / p) * q_rest ** (1.0 / p))
+        return root
 
-    def _q_prefix(self, upto: int) -> float:
-        # prefix sum of auxiliary-exponent powers over entries before ``upto``
-        q = self._aux[0]
-        while len(self._q_powers) <= upto:
-            i = len(self._q_powers) - 1
-            try:
-                lam = self.stream.entry(i)[1]
-            except StreamExhausted:
-                self._q_powers.append(self._q_powers[-1])
-                continue
-            self._q_powers.append(self._q_powers[-1] + lam ** q)
-        return self._q_powers[upto]
-
-    def _forward_tail(self, n: int) -> float:
+    def _windowed(self, n: int) -> float:
         p = self.exponent
-        # serve from the cached walk while its closing bound stays negligible;
-        # a guard-closed walk equals the subtraction bound at every position,
-        # so rebuilding inside its range could not improve on it
-        if self._fwd_start >= 0 and self._fwd_start <= n < self._fwd_start + len(self._fwd_suffix):
-            val = self._fwd_suffix[n - self._fwd_start]
-            if val >= 1e-250 and (self._fwd_guarded or self._fwd_closing <= _FORWARD_SERVE * val):
-                return self._fwd_head * val ** (1.0 / p)
-        try:
-            head = self.stream.entry(n)[1]
-        except StreamExhausted:
-            return 0.0
-        aux = self._auxiliary()
-        log_head = math.log(head)
-        terms: List[float] = []
-        acc = 0.0
-        index = n
-        cap = n + _FORWARD_CAP
-        closing: Optional[float] = None  # scaled bound on mass beyond the walk
+        start, end, head, suffix, root, capped = self._window
+        scaled = float(suffix[n - start]) if start <= n < end else 0.0  # S(n, end) / head**p
+        # serve from the last window while it stays tight for n; a capped one
+        # is within the float noise of subtraction, so growing it buys nothing
+        if scaled < _NORMAL or not (capped or root <= self._close * head * scaled ** (1.0 / p)):
+            if len(self.stream.weights(n + 1)) == n:
+                return 0.0
+            # a later n never closes earlier, so the search resumes at the old end
+            window = self._grow(n, end if start <= n < end else n + 1)
+            self._window = start, end, head, suffix, root, capped = window
+            scaled = float(suffix[0])
+        norm = head * (scaled * (1.0 + _SLACK + (end - n) * _EPS)) ** (1.0 / p)
+        top = max(norm, root)
+        return top * ((norm / top) ** p + (root / top) ** p) ** (1.0 / p)
+
+    def _grow(self, n: int, end: int) -> tuple:
+        """Window from ``n`` closing at or after ``end``, with its reverse cumulative sums."""
+        p, stream = self.exponent, self.stream
+        weights = stream.weights(end + 1)
+        head = float(weights[n])
+        cap = n + _WINDOW_CAP
+        scaled = float(((weights[n:end] / head) ** p).sum())
         while True:
-            terms.append((self.stream.entry(index)[1] / head) ** p)
-            acc += terms[-1]
-            index += 1
-            try:
-                nxt = self.stream.entry(index)[1]
-            except StreamExhausted:
-                closing = 0.0
+            if len(weights) <= end:  # the stream ends here: nothing remains past it
+                end, root, capped = len(weights), 0.0, False
                 break
-            if aux is not None:
-                # mass beyond here, at exponent p, is dominated by the next
-                # weight to the excess power times the remaining q-mass
-                q, q_total = aux
-                rem_q = max(q_total - self._q_prefix(index), 0.0)
-                rem_q += 64.0 * math.ulp(1.0) * q_total
-                log_bound = (p - q) * math.log(nxt) + math.log(rem_q)
-                if log_bound <= math.log(_FORWARD_REMAINDER * acc) + p * log_head:
-                    closing = math.exp(log_bound - p * log_head)
-                    break
-            if index >= cap:
+            root = self._remainder_root(weights, end)
+            capped = end >= cap
+            if capped or root <= self._close * head * scaled ** (1.0 / p):
                 break
-        guarded = closing is None
-        if guarded:
-            # certificate out of reach; close with the subtraction value plus
-            # float slack (still certified, loose only on this path)
-            self._extend(index)
-            guard = max(self.total - self._prefix[index], 0.0)
-            guard += 64.0 * math.ulp(1.0) * self.total
-            log_extra = math.log(guard) - p * log_head
-            if log_extra > 700.0:
-                return max(head * acc ** (1.0 / p), guard ** (1.0 / p)) * 2.0 ** (1.0 / p)
-            closing = math.exp(log_extra)
-        suffix = closing
-        incl = [0.0] * len(terms)
-        for i in range(len(terms) - 1, -1, -1):
-            suffix += terms[i]
-            incl[i] = suffix
-        self._fwd_start = n
-        self._fwd_head = head
-        self._fwd_suffix = incl
-        self._fwd_closing = closing
-        self._fwd_guarded = guarded
-        return head * incl[0] ** (1.0 / p)
+            # a quarter at a time: at most a quarter lies past the closing position
+            grown = min(end + max(1, (end - n) // 4), cap)
+            weights = stream.weights(grown + 1)
+            grown = min(grown, len(weights))
+            scaled += float(((weights[end:grown] / head) ** p).sum())
+            end = grown
+        return n, end, head, np.cumsum(((weights[n:end] / head) ** p)[::-1])[::-1], root, capped
 
 
 def tail_weight_norm(
@@ -477,20 +471,13 @@ def approximate_on_ball(
         raise ValueError("tolerance must be positive")
     tails = _TailNorms(config, model, stream)
     n_star = _scan_tail_below(tails, tolerance / radius, 0, budget_cap)
-    if n_star is None:
-        terms = _sample_prefix(oracle, stream, budget_cap)
-        return ApproxOutcome(
-            terms=terms,
-            n_used=oracle.cost,
-            final_error_bound=radius * tails.tail(budget_cap),
-            stopped_by=BUDGET_EXHAUSTED,
-        )
-    terms = _sample_prefix(oracle, stream, n_star)
+    n = budget_cap if n_star is None else n_star
+    terms = _sample_prefix(oracle, stream, n)
     return ApproxOutcome(
         terms=terms,
         n_used=oracle.cost,
-        final_error_bound=radius * tails.tail(n_star),
-        stopped_by=TOLERANCE_MET,
+        final_error_bound=radius * tails.tail(n),
+        stopped_by=BUDGET_EXHAUSTED if n_star is None else TOLERANCE_MET,
     )
 
 
@@ -591,15 +578,14 @@ def approximate_on_pilot_cone(
             else:
                 power_acc.add(ratio ** p)
 
+    def ratio_norm() -> float:
+        return sup_ratio if math.isinf(p) else power_acc.value ** (1.0 / p)
+
     absorb(pilot_entries)
     n = len(pilot_entries)  # may fall short of pilot_size on a finite stream
-    if math.isinf(p):
-        pilot_norm = sup_ratio
-    else:
-        pilot_norm = power_acc.value ** (1.0 / p)
-
+    pilot_norm = ratio_norm()
     while True:
-        partial_norm = sup_ratio if math.isinf(p) else power_acc.value ** (1.0 / p)
+        partial_norm = ratio_norm()
         root, bad = _pilot_bracket_root(p, spec.inflation, pilot_norm, partial_norm)
         violated = violated or bad
         bound = root * tails.tail(n)
@@ -619,7 +605,7 @@ def approximate_on_pilot_cone(
         absorb([nxt])
         n += 1
 
-    terms = tuple((k, oracle.query(k)) for k, _ in stream.prefix(n))
+    terms = _sample_prefix(oracle, stream, n)
     return ApproxOutcome(
         terms=terms,
         n_used=oracle.cost,
@@ -707,9 +693,10 @@ def block_ratio_norm(
 ) -> float:
     """Ratio norm of block ``j`` (coefficients over weights, block entries only)."""
     lo, hi = spec.block_range(j)
-    entries = stream.prefix(hi)[lo:]
+    weights = stream.weights(hi)[lo:].tolist()
     return seq_norm(
-        [abs(oracle.query(k)) / lam for k, lam in entries], config.ratio_exponent
+        [abs(oracle.query(stream.entry(i)[0])) / lam for i, lam in zip(range(lo, hi), weights)],
+        config.ratio_exponent,
     )
 
 
@@ -718,8 +705,7 @@ def block_weight_norm(
 ) -> float:
     """Tail_exponent-norm of the weights inside block ``j``."""
     lo, hi = spec.block_range(j)
-    entries = stream.prefix(hi)[lo:]
-    return seq_norm([lam for _, lam in entries], config.tail_exponent)
+    return seq_norm(stream.weights(hi)[lo:].tolist(), config.tail_exponent)
 
 
 def tracking_tail_norm(
@@ -825,13 +811,13 @@ def approximate_on_tracking_cone(
         sigmas.append(sigma_j)
         if not tracking_necessary_check(sigmas, spec.inflation, spec.decay):
             violated = True
-        bound = spec.inflation * sigma_j * tracking_tail_norm(
-            config, model, stream, spec, j, _tails=tails
-        )
+        # a zero block norm makes the bound zero whatever the tail
+        tail = tracking_tail_norm(config, model, stream, spec, j, _tails=tails) if sigma_j else 0.0
+        bound = spec.inflation * sigma_j * tail
         if bound <= tolerance:
             stopped = TOLERANCE_MET
             break
-    terms = tuple((k, oracle.query(k)) for k, _ in stream.prefix(n_j))
+    terms = _sample_prefix(oracle, stream, n_j)
     return ApproxOutcome(
         terms=terms,
         n_used=oracle.cost,
@@ -1004,32 +990,18 @@ def verify_regularity(
                 decay_ok = False
                 excess = max(other / high if high else math.inf, low / other if other else math.inf)
                 worst_excess = max(worst_excess, excess)
-    spread_ok = True
-    worst_spread = 1.0
+    spreads = []  # first-to-last weight ratio inside each nonempty block
     for j in range(1, block_window + 1):
         lo, hi = spec.block_range(j)
-        entries = stream.prefix(hi)[lo:]
-        if not entries:
-            continue
-        first, last = entries[0][1], entries[-1][1]
-        if last == 0.0:
-            continue
-        spread = first / last
-        worst_spread = max(worst_spread, spread)
-        if spread > constants.weight_spread * tol:
-            spread_ok = False
-    retention_ok = True
-    worst_retention = 1.0
-    for j in range(0, block_window):
-        floor = 1.0 - spec.size(j) / spec.size(j + 1)
-        worst_retention = min(worst_retention, floor)
-        if constants.retained_fraction > floor * tol:
-            retention_ok = False
+        weights = stream.weights(hi)[lo:]
+        if len(weights) and weights[-1] > 0.0:
+            spreads.append(float(weights[0] / weights[-1]))
+    floors = [1.0 - spec.size(j) / spec.size(j + 1) for j in range(block_window)]
     return RegularityReport(
         decay_ok=decay_ok,
-        spread_ok=spread_ok,
-        retention_ok=retention_ok,
+        spread_ok=all(s <= constants.weight_spread * tol for s in spreads),
+        retention_ok=all(constants.retained_fraction <= f * tol for f in floors),
         worst_decay_excess=worst_excess,
-        worst_spread=worst_spread,
-        worst_retention=worst_retention,
+        worst_spread=max([1.0] + spreads),
+        worst_retention=min([1.0] + floors),
     )

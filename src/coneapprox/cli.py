@@ -208,21 +208,10 @@ def _cmd_approx(config: dict, args) -> int:
             oracle, stream, space, model, float(config["radius"]), tolerance, budget
         )
     elif algorithm == "pilot":
-        spec = PilotConeSpec(
-            pilot_size=int(config["pilot"]["size"]),
-            inflation=float(config["pilot"]["inflation"]),
-        )
+        spec = PilotConeSpec.from_dict(config["pilot"])
         outcome = approximate_on_pilot_cone(oracle, stream, space, model, spec, tolerance, budget)
     elif algorithm == "tracking":
-        block = config["tracking"]
-        spec = TrackingConeSpec(
-            start=int(block["start"]),
-            inflation=float(block["inflation"]),
-            decay=float(block["decay"]),
-            kind=block.get("kind", "geometric"),
-            factor=int(block.get("factor", 2)),
-            step=int(block.get("step", 0)),
-        )
+        spec = TrackingConeSpec.from_dict(config["tracking"])
         outcome = approximate_on_tracking_cone(oracle, stream, space, model, spec, tolerance, budget)
     else:
         raise _UsageError(f"unknown algorithm {algorithm!r}")
@@ -314,10 +303,7 @@ def _cmd_diagnose(config: dict, args) -> int:
         tolerance = float(tolerance)
         report["ball"] = {"cost": ball_cost_bound(space, model, radius, tolerance)}
         if "pilot" in config:
-            spec = PilotConeSpec(
-                pilot_size=int(config["pilot"]["size"]),
-                inflation=float(config["pilot"]["inflation"]),
-            )
+            spec = PilotConeSpec.from_dict(config["pilot"])
             report["pilot"] = {
                 "cost": pilot_cost_bound(space, model, spec, radius, tolerance),
                 "complexity_lower": pilot_complexity_lower(space, model, spec, radius, tolerance),
@@ -325,14 +311,7 @@ def _cmd_diagnose(config: dict, args) -> int:
             }
         if "tracking" in config:
             block = config["tracking"]
-            spec = TrackingConeSpec(
-                start=int(block["start"]),
-                inflation=float(block["inflation"]),
-                decay=float(block["decay"]),
-                kind=block.get("kind", "geometric"),
-                factor=int(block.get("factor", 2)),
-                step=int(block.get("step", 0)),
-            )
+            spec = TrackingConeSpec.from_dict(block)
             stream = WavenumberStream(model)
             cost = tracking_cost_bound(space, model, stream, spec, radius, tolerance)
             entry: dict = {

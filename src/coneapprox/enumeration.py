@@ -20,6 +20,8 @@ import io
 from heapq import heappop, heappush
 from typing import Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from .weights import WeightModel
 
 __all__ = ["StreamExhausted", "WavenumberStream", "brute_force_order", "write_prefix_csv"]
@@ -42,7 +44,9 @@ class WavenumberStream:
     Emits ``(wavenumber, weight)`` pairs with non-increasing weights and
     lexicographic tie order.  Emissions are cached, so a stream doubles as a
     replay buffer: ``entry(i)`` and ``prefix(n)`` are stable under repeated
-    calls and two streams over equal models emit identical sequences.
+    calls and two streams over equal models emit identical sequences.  The
+    emitted weights also sit in one growable float64 array, which
+    ``weights(n)`` exposes as a read-only view for vectorised consumers.
     """
 
     def __init__(self, model: WeightModel):
@@ -58,6 +62,7 @@ class WavenumberStream:
         self._boost_heap: list = []
         self._expanded: set = set()
         self._emitted: List[Entry] = []
+        self._weights = self._readonly = np.empty(0)  # emitted weights; a read-only view
         root = (0,) * d
         self._push(root, model.weight(root), 0)
 
@@ -93,6 +98,12 @@ class WavenumberStream:
         neg_lam, k = heappop(emit)
         if k not in self._expanded:
             self._expand(k)
+        count = len(self._emitted)
+        if count == len(self._weights):
+            self._weights = np.concatenate((self._weights, np.empty(max(count, 64))))
+            self._readonly = self._weights.view()
+            self._readonly.flags.writeable = False
+        self._weights[count] = -neg_lam
         self._emitted.append((k, -neg_lam))
 
     @property
@@ -107,14 +118,24 @@ class WavenumberStream:
             self._advance()
         return self._emitted[index]
 
-    def prefix(self, count: int) -> List[Entry]:
-        """First ``count`` emissions; shorter if the stream exhausts first."""
+    def _fill(self, count: int) -> int:
+        """Emit up to ``count`` entries; returns how many exist (fewer at exhaustion)."""
         try:
             while len(self._emitted) < count:
                 self._advance()
         except StreamExhausted:
             pass
-        return self._emitted[:count]
+        return min(count, len(self._emitted))
+
+    def prefix(self, count: int) -> List[Entry]:
+        """First ``count`` emissions; shorter if the stream exhausts first."""
+        return self._emitted[: self._fill(count)]
+
+    def weights(self, count: int) -> np.ndarray:
+        """Read-only view of the first ``count`` emitted weights, like ``prefix``."""
+        if count > len(self._emitted):
+            count = self._fill(count)  # may reallocate the buffer, so fill before slicing
+        return self._readonly[:count]
 
     def __iter__(self) -> Iterator[Entry]:
         index = 0
@@ -124,6 +145,17 @@ class WavenumberStream:
             except StreamExhausted:
                 return
             index += 1
+
+
+def _box_weights(model: WeightModel, degrees: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Wavenumbers (columns) of the box ``degrees[0] x ... x degrees[d-1]`` and their weights,
+    multiplied in the canonical order of ``WeightModel.weight`` (1.0 on inactive axes is exact)."""
+    ks = np.stack([g.ravel() for g in np.meshgrid(*map(np.asarray, degrees), indexing="ij")])
+    lam = np.asarray(model.interaction_weights)[np.count_nonzero(ks, axis=0)]
+    for axis, w in enumerate(model.coordinate_weights):
+        factor = [1.0] + [w * model.decay.value(k) for k in range(1, int(ks.max()) + 1)]
+        lam = lam * np.array(factor)[ks[axis]]
+    return ks, lam
 
 
 def brute_force_order(model: WeightModel, box_cap: int, count: int) -> List[Entry]:
@@ -144,23 +176,14 @@ def brute_force_order(model: WeightModel, box_cap: int, count: int) -> List[Entr
     if count < 1:
         raise ValueError("count must be at least 1")
     d = model.dimension
-    entries: List[Entry] = []
-    grid: List[Tuple[int, ...]] = [()]
-    for _ in range(d):
-        grid = [k + (v,) for k in grid for v in range(box_cap + 1)]
-    for k in grid:
-        lam = model.weight(k)
-        if lam > 0.0:
-            entries.append((k, lam))
-    shell_max = 0.0
-    for axis in range(d):
-        face: List[Tuple[int, ...]] = [()]
-        for other in range(d):
-            choices = [box_cap + 1] if other == axis else list(range(box_cap + 1))
-            face = [k + (v,) for k in face for v in choices]
-        for k in face:
-            shell_max = max(shell_max, model.weight(k))
-    entries.sort(key=lambda item: (-item[1], item[0]))
+    inside = range(box_cap + 1)
+    ks, lam = _box_weights(model, [inside] * d)
+    ks, lam = ks[:, lam > 0.0], lam[lam > 0.0]
+    faces = [[[box_cap + 1] if other == axis else inside for other in range(d)] for axis in range(d)]
+    shell_max = max(float(_box_weights(model, face)[1].max()) for face in faces)
+    # stable sort: decreasing weight first, then k_1, ..., k_d ascending
+    order = np.lexsort(tuple(ks[::-1]) + (-lam,))[:count]
+    entries = list(zip(map(tuple, ks[:, order].T.tolist()), lam[order].tolist()))
     if len(entries) < count:
         if shell_max == 0.0:
             return entries
@@ -170,7 +193,7 @@ def brute_force_order(model: WeightModel, box_cap: int, count: int) -> List[Entr
             f"box too small to certify {count} entries: cut weight "
             f"{entries[count - 1][1]!r} does not dominate shell weight {shell_max!r}"
         )
-    return entries[:count]
+    return entries
 
 
 def write_prefix_csv(model: WeightModel, count: int, target) -> int:

@@ -273,7 +273,7 @@ def grid_sup(terms: Dict[Wavenumber, float], grid: EvaluationGrid) -> float:
     return best
 
 
-CSV_HEADER = "d,eps,seed,n_used,sup_error,ratio,g_norm_error,inferred_r,status,wall_ms"
+CSV_HEADER = "d,eps,seed,n_used,sup_error,ratio,g_norm_error,inferred_r,status,wall_ms,cone_violated"
 
 
 @dataclass(frozen=True)
@@ -288,6 +288,7 @@ class ExperimentRow:
     inferred_r: float
     status: str
     wall_ms: int
+    cone_violated: bool = False  # observed data falsified the fitted cone; voids the bound
 
     def to_csv(self) -> str:
         return ",".join(
@@ -302,6 +303,7 @@ class ExperimentRow:
                 repr(self.inferred_r),
                 self.status,
                 str(self.wall_ms),
+                str(self.cone_violated),
             ]
         )
 
@@ -318,6 +320,7 @@ class ExperimentRow:
                 "inferred_r": self.inferred_r,
                 "status": self.status,
                 "wall_ms": self.wall_ms,
+                "cone_violated": self.cone_violated,
             }
         )
 
@@ -402,6 +405,7 @@ def _run_cell(args: tuple) -> ExperimentRow:
             inferred_r=float(outcome.inferred["r"]),
             status=outcome.stopped_by,
             wall_ms=wall,
+            cone_violated=outcome.cone_violated,
         )
     except Exception as exc:  # noqa: BLE001 - a bad cell must not sink the run
         wall = int(round((time.perf_counter() - started) * 1000.0)) if timing else 0

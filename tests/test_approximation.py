@@ -2,8 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coneapprox import (
     BUDGET_EXHAUSTED,
@@ -126,6 +129,60 @@ def test_tail_norm_clamps_round_off():
     )
     cfg = SpaceConfig(2.0, 1.0)
     assert tail_weight_norm(cfg, model, WavenumberStream(model), 3) == 0.0
+
+
+def _exact_tail_powers(model, p):
+    """Exact ``sum(lam**p)`` past every depth of a finite stream, for integer ``p``."""
+    powers = [Fraction(lam) ** p for _, lam in WavenumberStream(model).prefix(10 ** 4)]
+    tails = [Fraction(0)]
+    for value in reversed(powers):
+        tails.append(tails[-1] + value)
+    return tails[::-1]
+
+
+def test_tail_norm_never_undershoots_pinned_model():
+    # 64 live wavenumbers; plain subtraction without slack undershot the
+    # exact tail at 15 of these 65 depths
+    model = WeightModel(3, (0.9, 0.6, 0.3), TableDecay((1.0, 0.5, 0.2), 0.0))
+    cfg = SpaceConfig(2.0, 1.0)
+    stream = WavenumberStream(model)
+    exact = _exact_tail_powers(model, 2)
+    assert len(exact) == 65
+    for n, tail_power in enumerate(exact):
+        assert Fraction(tail_weight_norm(cfg, model, stream, n)) ** 2 >= tail_power
+
+
+# spaces with integer tail exponents 1, 2, 3 and 4, so exact sums are rational
+_INTEGER_TAIL_SPACES = (
+    SpaceConfig(math.inf, 1.0), SpaceConfig(2.0, 1.0), SpaceConfig(3.0, 1.5), SpaceConfig(4.0, 2.0)
+)
+
+
+@st.composite
+def _truncated_models(draw):
+    d = draw(st.integers(1, 3))
+    ratios = draw(st.lists(st.floats(0.05, 1.0), min_size=0, max_size=3))
+    values = [1.0]
+    for r in ratios:
+        values.append(values[-1] * r)
+    gamma = [1.0]
+    for _ in range(d):
+        gamma.append(gamma[-1] * draw(st.floats(0.3, 1.0)))
+    return WeightModel(
+        dimension=d,
+        coordinate_weights=tuple(draw(st.floats(0.05, 1.5)) for _ in range(d)),
+        decay=TableDecay(tuple(values), 0.0),
+        interaction_weights=tuple(gamma),
+    )
+
+
+@settings(max_examples=60, deadline=5000)
+@given(model=_truncated_models(), cfg=st.sampled_from(_INTEGER_TAIL_SPACES))
+def test_tail_norm_never_undershoots_truncated_tables(model, cfg):
+    p = int(cfg.tail_exponent)
+    stream = WavenumberStream(model)
+    for n, tail_power in enumerate(_exact_tail_powers(model, p)):
+        assert Fraction(tail_weight_norm(cfg, model, stream, n)) ** p >= tail_power
 
 
 def test_tail_norm_non_increasing(rng):
@@ -472,6 +529,34 @@ def test_tracking_error_bound_zero_sigma():
     spec = TrackingConeSpec(start=1, inflation=2.0, decay=0.5)
     cfg = SpaceConfig(2.0, 2.0)
     assert tracking_error_bound(cfg, model, WavenumberStream(model), spec, 0.0, 1) == 0.0
+
+
+def test_tracking_zero_block_skips_the_tail_norm():
+    # block norm 0 gives bound 0 whatever the tail, so no entry past the
+    # block is enumerated (the tail norm would walk to its 65,536-entry guard)
+    model = _model_1d(3.0)
+    spec = TrackingConeSpec(start=4, inflation=2.0, decay=0.5)
+    stream = WavenumberStream(model)
+    out = approximate_on_tracking_cone(
+        CoefficientOracle.from_table({}), stream, SpaceConfig(math.inf, 1.0), model, spec, 1e-6
+    )
+    assert out.stopped_by == TOLERANCE_MET
+    assert out.final_error_bound == 0.0
+    assert out.n_used == stream.emitted_count == spec.size(1) == 8
+
+
+def test_cone_specs_from_config_blocks():
+    assert PilotConeSpec.from_dict({"size": "4", "inflation": 1.5}) == PilotConeSpec(4, 1.5)
+    spec = TrackingConeSpec.from_dict(
+        {"start": 2, "inflation": 2.0, "decay": 0.5, "regularity": {"slack": 1.0}}
+    )
+    assert spec == TrackingConeSpec(start=2, inflation=2.0, decay=0.5)
+    arithmetic = TrackingConeSpec.from_dict(
+        {"start": 3, "inflation": 1.5, "decay": 0.4, "kind": "arithmetic", "step": 5}
+    )
+    assert arithmetic.block_range(2) == (8, 13)
+    with pytest.raises(ValueError):
+        PilotConeSpec.from_dict({"size": 0, "inflation": 1.5})
 
 
 def test_tracking_error_bound_one_block_tail():

@@ -167,7 +167,9 @@ def test_experiment_stdout_csv(run):
     code, out, err = run(["experiment"], cfg)
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "d,eps,seed,n_used,sup_error,ratio,g_norm_error,inferred_r,status,wall_ms"
+    assert lines[0] == (
+        "d,eps,seed,n_used,sup_error,ratio,g_norm_error,inferred_r,status,wall_ms,cone_violated"
+    )
     assert len(lines) == 3
     assert lines[1].startswith("2,0.1,0,")
     assert lines[2].startswith("2,0.1,1,")

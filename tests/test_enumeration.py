@@ -1,6 +1,7 @@
 """Lazy wavenumber ordering against the brute-force oracle."""
 
 import io
+import itertools
 import random
 
 import pytest
@@ -94,6 +95,25 @@ def test_stream_matches_brute_force(rng):
         assert WavenumberStream(model).prefix(count) == oracle
 
 
+def test_brute_force_matches_a_plain_scan(rng):
+    # the vectorised box scan against a loop over WeightModel.weight: same
+    # weights bit for bit, same order
+    checked = 0
+    for _ in range(20):
+        model = random_model(rng, max_dim=3)
+        box = rng.randint(1, 6)
+        scan = [(k, model.weight(k)) for k in itertools.product(range(box + 1), repeat=model.dimension)]
+        ranked = sorted(((k, lam) for k, lam in scan if lam > 0.0), key=lambda e: (-e[1], e[0]))
+        for count in (1, len(ranked) // 2 or 1, len(ranked)):
+            try:
+                got = brute_force_order(model, box, count)
+            except ValueError:
+                continue  # the box cannot certify that many entries
+            assert got == ranked[:count]
+            checked += 1
+    assert checked >= 40
+
+
 def test_brute_force_first_entry_is_origin(rng):
     model = random_model(rng)
     assert brute_force_order(model, 3, 1)[0][0] == (0,) * model.dimension
@@ -142,6 +162,22 @@ def test_exhaustion_on_finite_support():
     assert stream.prefix(10) == entries  # prefix shortens at exhaustion
     with pytest.raises(StreamExhausted):
         stream.entry(3)
+
+
+def test_weight_buffer_matches_entries(rng):
+    model = random_model(rng)
+    stream = WavenumberStream(model)
+    weights = stream.weights(300)
+    assert weights.tolist() == [lam for _, lam in stream.prefix(300)]
+    with pytest.raises(ValueError):
+        weights[0] = 0.0  # read-only view
+    finite = WavenumberStream(
+        WeightModel(dimension=2, coordinate_weights=(1.0, 0.0), decay=TableDecay((1.0, 0.5), 0.0))
+    )
+    assert finite.weights(10).tolist() == [1.0, 1.0, 0.5]  # shorter at exhaustion
+    grown = WavenumberStream(_model_2d())
+    assert len(grown.weights(64)) == 64
+    assert len(grown.weights(65)) == 65  # across a reallocation of the buffer
 
 
 def test_zero_weights_never_emitted(rng):

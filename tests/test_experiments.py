@@ -1,5 +1,6 @@
 """Random-series harness: generators, evaluation grids, rows, and reruns."""
 
+import json
 import math
 
 import numpy as np
@@ -174,11 +175,12 @@ def test_residual_terms_difference_and_cancellation():
 
 
 def test_csv_header_and_row_shapes():
-    assert CSV_HEADER == "d,eps,seed,n_used,sup_error,ratio,g_norm_error,inferred_r,status,wall_ms"
+    assert CSV_HEADER == (
+        "d,eps,seed,n_used,sup_error,ratio,g_norm_error,inferred_r,status,wall_ms,cone_violated"
+    )
     row = ExperimentRow(2, 0.1, 3, 12, 0.01, 0.1, 0.02, 4.5, "ToleranceMet", 7)
+    assert row.to_csv().endswith(",7,False")
     assert len(row.to_csv().split(",")) == len(CSV_HEADER.split(","))
-    import json
-
     decoded = json.loads(row.to_json())
     assert list(decoded) == CSV_HEADER.split(",")
     assert decoded["seed"] == 3 and decoded["status"] == "ToleranceMet"
@@ -219,6 +221,15 @@ def test_run_experiment_fixture_and_order():
     assert all(0.0 < r.ratio <= 1.0 for r in rows)
     assert all(r.g_norm_error >= r.sup_error for r in rows)
     assert all(r.wall_ms == 0 for r in rows)  # timing off
+
+
+def test_run_experiment_reports_falsified_cone():
+    # the fitted cone is falsified by the samples; the row says so beside its status
+    rows = run_experiment(_small_config(tolerances=(1e-2,), seeds=(0,)))
+    assert rows[0].status == "ToleranceMet"
+    assert rows[0].cone_violated is True
+    assert rows[0].to_csv().endswith(",True")
+    assert json.loads(rows[0].to_json())["cone_violated"] is True
 
 
 def test_run_experiment_rerun_is_identical():
