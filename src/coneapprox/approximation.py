@@ -253,7 +253,8 @@ class _Accumulator:
     __slots__ = ("_sum", "_comp")
 
     def __init__(self) -> None:
-        self._sum = self._comp = 0.0
+        self._sum = 0.0
+        self._comp = 0.0
 
     def add(self, x: float) -> None:
         t = self._sum + x
