@@ -72,13 +72,13 @@ _EPS = sys.float_info.epsilon
 # anything more negative is a violated precondition, not round-off.
 _CLAMP = 1e3 * _EPS
 _SLACK = 64.0 * _EPS  # upward rounding allowance of a certified power sum, relative
+_ROOT_SLACK = 1.0 + 8.0 * _EPS  # upward rounding of a few arithmetic steps on a root
 # A tail value is accepted once its unverified part (the slack of a plain
 # subtraction, or the bound past a window) is at most this share of its p-th
 # power; subtraction so serves while the tail keeps about 2**-20 of the total.
 _TIGHT = 2.0 ** -26
 _WINDOW_CAP = 8192  # longest window summed term by term
 _NORMAL = sys.float_info.min / _EPS  # smallest scaled sum kept at full precision
-_BLOCK = 256  # prefix extensions at least this long run vectorised
 _TIE_SLACK = 1.0 + 1e-12
 
 
@@ -268,33 +268,36 @@ class _Accumulator:
     def value(self) -> float:
         return self._sum + self._comp
 
-    def extend(self, values: np.ndarray) -> np.ndarray:
-        """Add each value in turn, vectorised; returns the running values after each."""
-        run = np.cumsum(np.concatenate(([self._sum], values)))
-        back = run[1:] - run[:-1]  # two-sum: the same exact error of every addition
-        comps = np.cumsum(np.concatenate(([self._comp], (run[:-1] - (run[1:] - back)) + (values - back))))
-        self._sum, self._comp = float(run[-1]), float(comps[-1])
-        return run[1:] + comps[1:]
+
+def _pow_up(x: float, e: float) -> float:
+    """Upper bound on ``x**e`` for an ``e`` within two ulps of the intended exponent.
+
+    pow rounds within an ulp, and each ulp of ``e`` moves the result by
+    ``|ln x**e|`` ulps.  A root ``x**(1/p)`` so errs by ulps of the root,
+    about ``p`` ulps of ``x``, which no fixed slack on ``x`` covers at large
+    ``p``.
+    """
+    y = x ** e
+    return y * (1.0 + (2.0 + 2.0 * abs(math.log(y))) * _EPS) if y > 0.0 else y
 
 
 class _PowerSums:
-    """Compensated prefix sums of ``weight**exponent`` over the stream buffer."""
+    """Compensated prefix sums of ``weight**exponent`` along the stream."""
 
-    def __init__(self, exponent: float):
+    def __init__(self, stream: WavenumberStream, exponent: float):
+        self.stream = stream
         self.exponent = exponent
         self._sums = [0.0]  # sums[i]: the first i powers
         self._acc = _Accumulator()
 
-    def at(self, weights: np.ndarray, n: int) -> float:
-        """Sum of the first ``n`` powers; ``weights`` holds at least ``n`` entries."""
-        lo = len(self._sums) - 1
-        if n - lo >= _BLOCK:
-            self._sums.extend(self._acc.extend(weights[lo:n] ** self.exponent).tolist())
-        elif n > lo:  # a few entries, as a scan grows: numpy's per-call cost would dominate
-            for lam in weights[lo:n].tolist():
-                self._acc.add(lam ** self.exponent)
-                self._sums.append(self._acc.value)
-        return self._sums[n]
+    def at(self, n: int) -> float:
+        """Sum of the first ``n`` powers; raises StreamExhausted past the stream's end."""
+        sums = self._sums
+        if n >= len(sums):
+            for index in range(len(sums) - 1, n):
+                self._acc.add(self.stream.entry(index)[1] ** self.exponent)
+                sums.append(self._acc.value)
+        return sums[n]
 
 
 class _TailNorms:
@@ -303,17 +306,22 @@ class _TailNorms:
     ``tail(n)`` bounds from above the tail_exponent-norm of all weights after
     the first ``n`` stream entries: the next weight at an infinite exponent,
     and at a finite exponent ``p`` the formula ``S(n, N) + R(N)`` raised to
-    ``1/p`` and rounded upward by an explicit slack.  ``S(n, N)`` sums the
-    powers of the emitted weights at positions ``n..N-1`` term by term (all
-    positive, so nothing cancels).  ``R(N)`` bounds the mass past the window
-    by the tighter of the analytic power sum minus the compensated prefix
-    sum plus slack, and ``weight(N)**(p-q)`` times the mass left at an
-    auxiliary exponent ``q < p``.  The window is empty (plain subtraction
-    plus slack) while the slack is at most ``_TIGHT`` of the value; else it
-    grows a quarter at a time until ``R(N)`` is at most ``_TIGHT`` of the
-    value, or up to ``_WINDOW_CAP`` entries (certified, but no tighter than
-    subtraction).  Its reverse cumulative sums serve later queries while it
-    stays tight for them, so a value may depend on the queries before it.
+    ``1/p``.  ``S(n, N)`` sums the powers of the emitted weights at positions
+    ``n..N-1`` term by term (all positive, so nothing cancels).  ``R(N)``
+    bounds the mass past the window by the tighter of the analytic power sum
+    minus the compensated prefix sum plus a slack, and ``weight(N)**(p-q)``
+    times the mass left at an auxiliary exponent ``q < p``.  As ``S(n, N)``
+    plus the subtraction at ``N`` is the subtraction at ``n``, that tighter
+    of two reads ``min(subtraction at n, S(n, N) + auxiliary bound at N)``.
+
+    The window is empty (plain subtraction plus slack) while the slack is at
+    most ``_TIGHT`` of the value; else it grows a quarter at a time until the
+    auxiliary bound is at most ``_TIGHT`` of the value, or it spans
+    ``_WINDOW_CAP`` entries (certified, but then not within ``_TIGHT``).
+    Its reverse cumulative sums serve later queries while it stays tight
+    for them, so a value may depend on the queries before it.
+    Every sum carries its own error bound, and every root is rounded upward
+    by ``_pow_up``, so no exponent, however large, lets a value undershoot.
     Negative subtractions beyond the round-off clamp raise.
     """
 
@@ -331,12 +339,13 @@ class _TailNorms:
                 "weight power sum diverges at the tail exponent; "
                 "no finite certificate exists on this space"
             )
-        self._sums = _PowerSums(p)
+        self._sums = _PowerSums(stream, p)
+        self._slack = _SLACK * self.total
         # auxiliary bound: the smallest grid exponent q < p with a finite power sum
         grid = ((p * frac, model.weight_power_sum(p * frac)) for frac in (0.125, 0.25, 0.5, 0.75, 0.875))
-        self._aux = next(((q, t, _PowerSums(q)) for q, t in grid if math.isfinite(t)), None)
+        self._aux = next(((q, t) for q, t in grid if math.isfinite(t)), None)
         self._close = (_TIGHT / (1.0 - _TIGHT)) ** (1.0 / p)  # share of the window norm
-        # last window: start, end, head weight, scaled suffix sums, R(end)**(1/p), capped
+        # last window: start, end, head weight, scaled suffix sums, bound past it (root), capped
         self._window: tuple = (0, 0, 1.0, None, 0.0, False)
 
     def tail(self, n: int) -> float:
@@ -347,68 +356,68 @@ class _TailNorms:
                 return self.stream.entry(n)[1]
             except StreamExhausted:
                 return 0.0
-        weights = self.stream.weights(n)
-        if len(weights) < n:
+        try:
+            remainder = self.total - self._sums.at(n)
+        except StreamExhausted:
             return 0.0
-        remainder = self.total - self._sums.at(weights, n)
         if remainder < -_CLAMP * max(self.total, 1.0):
             raise ArithmeticError(
                 f"tail power sum went negative beyond round-off at n={n}: {remainder!r}"
             )
-        slack = _SLACK * self.total
-        if slack <= _TIGHT * (remainder + slack):
-            return (remainder + slack) ** (1.0 / self.exponent)
-        return self._windowed(n)
-
-    def _remainder_root(self, weights: np.ndarray, end: int) -> float:
-        """``R(end)**(1/p)``; ``weights`` holds more than ``end`` entries."""
-        p, total = self.exponent, self.total
-        root = (max(total - self._sums.at(weights, end), 0.0) + _SLACK * total) ** (1.0 / p)
-        if self._aux is not None:
-            q, q_total, q_sums = self._aux
-            q_rest = max(q_total - q_sums.at(weights, end), 0.0) + _SLACK * q_total
-            root = min(root, float(weights[end]) ** (1.0 - q / p) * q_rest ** (1.0 / p))
+        slack = self._slack
+        root = _pow_up(remainder + slack, 1.0 / self.exponent)  # the empty window
+        if slack > _TIGHT * (remainder + slack) and self._aux is not None:
+            root = min(root, self._windowed(n))
         return root
 
     def _windowed(self, n: int) -> float:
+        """``(S(n, N) + auxiliary bound at N)**(1/p)`` over a window from ``n``."""
         p = self.exponent
-        start, end, head, suffix, root, capped = self._window
+        start, end, head, suffix, rest, capped = self._window
         scaled = float(suffix[n - start]) if start <= n < end else 0.0  # S(n, end) / head**p
         # serve from the last window while it stays tight for n; a capped one
-        # is within the float noise of subtraction, so growing it buys nothing
-        if scaled < _NORMAL or not (capped or root <= self._close * head * scaled ** (1.0 / p)):
+        # may not grow, so it serves as it is (certified, if loose)
+        if scaled < _NORMAL or not (capped or rest <= self._close * head * scaled ** (1.0 / p)):
             if len(self.stream.weights(n + 1)) == n:
                 return 0.0
             # a later n never closes earlier, so the search resumes at the old end
             window = self._grow(n, end if start <= n < end else n + 1)
-            self._window = start, end, head, suffix, root, capped = window
+            self._window = start, end, head, suffix, rest, capped = window
             scaled = float(suffix[0])
-        norm = head * (scaled * (1.0 + _SLACK + (end - n) * _EPS)) ** (1.0 / p)
-        top = max(norm, root)
-        return top * ((norm / top) ** p + (root / top) ** p) ** (1.0 / p)
+        # each of the end - n terms is within (p/2 + 1) ulps, their sum within end - n ulps
+        norm = head * _pow_up(scaled * (1.0 + (end - n + p + 2) * _EPS), 1.0 / p)
+        top = max(norm, rest)
+        return top * _pow_up((norm / top) ** p + (rest / top) ** p, 1.0 / p) * _ROOT_SLACK
 
     def _grow(self, n: int, end: int) -> tuple:
         """Window from ``n`` closing at or after ``end``, with its reverse cumulative sums."""
         p, stream = self.exponent, self.stream
+        q, q_total = self._aux
         weights = stream.weights(end + 1)
         head = float(weights[n])
         cap = n + _WINDOW_CAP
+        lift = (p - q) / p  # within an ulp, where 1 - q/p could be off by 8
         scaled = float(((weights[n:end] / head) ** p).sum())
+        q_sum = float((weights[:end] ** q).sum())
         while True:
             if len(weights) <= end:  # the stream ends here: nothing remains past it
-                end, root, capped = len(weights), 0.0, False
+                end, rest, capped = len(weights), 0.0, False
                 break
-            root = self._remainder_root(weights, end)
+            # the first end q-powers are within an ulp each and sum to within
+            # end - 1 ulps of q_sum, in any order of summation
+            q_left = max(q_total * (1.0 + _SLACK) - q_sum * (1.0 - (end + 1) * _EPS), 0.0)
+            rest = _pow_up(float(weights[end]), lift) * _pow_up(q_left, 1.0 / p) * _ROOT_SLACK
             capped = end >= cap
-            if capped or root <= self._close * head * scaled ** (1.0 / p):
+            if capped or rest <= self._close * head * scaled ** (1.0 / p):
                 break
             # a quarter at a time: at most a quarter lies past the closing position
             grown = min(end + max(1, (end - n) // 4), cap)
             weights = stream.weights(grown + 1)
             grown = min(grown, len(weights))
             scaled += float(((weights[end:grown] / head) ** p).sum())
+            q_sum += float((weights[end:grown] ** q).sum())
             end = grown
-        return n, end, head, np.cumsum(((weights[n:end] / head) ** p)[::-1])[::-1], root, capped
+        return n, end, head, np.cumsum(((weights[n:end] / head) ** p)[::-1])[::-1], rest, capped
 
 
 def tail_weight_norm(
@@ -472,13 +481,20 @@ def approximate_on_ball(
         raise ValueError("tolerance must be positive")
     tails = _TailNorms(config, model, stream)
     n_star = _scan_tail_below(tails, tolerance / radius, 0, budget_cap)
-    n = budget_cap if n_star is None else n_star
-    terms = _sample_prefix(oracle, stream, n)
+    if n_star is None:
+        terms = _sample_prefix(oracle, stream, budget_cap)
+        return ApproxOutcome(
+            terms=terms,
+            n_used=oracle.cost,
+            final_error_bound=radius * tails.tail(budget_cap),
+            stopped_by=BUDGET_EXHAUSTED,
+        )
+    terms = _sample_prefix(oracle, stream, n_star)
     return ApproxOutcome(
         terms=terms,
         n_used=oracle.cost,
-        final_error_bound=radius * tails.tail(n),
-        stopped_by=BUDGET_EXHAUSTED if n_star is None else TOLERANCE_MET,
+        final_error_bound=radius * tails.tail(n_star),
+        stopped_by=TOLERANCE_MET,
     )
 
 
@@ -579,14 +595,15 @@ def approximate_on_pilot_cone(
             else:
                 power_acc.add(ratio ** p)
 
-    def ratio_norm() -> float:
-        return sup_ratio if math.isinf(p) else power_acc.value ** (1.0 / p)
-
     absorb(pilot_entries)
     n = len(pilot_entries)  # may fall short of pilot_size on a finite stream
-    pilot_norm = ratio_norm()
+    if math.isinf(p):
+        pilot_norm = sup_ratio
+    else:
+        pilot_norm = power_acc.value ** (1.0 / p)
+
     while True:
-        partial_norm = ratio_norm()
+        partial_norm = sup_ratio if math.isinf(p) else power_acc.value ** (1.0 / p)
         root, bad = _pilot_bracket_root(p, spec.inflation, pilot_norm, partial_norm)
         violated = violated or bad
         bound = root * tails.tail(n)
@@ -694,10 +711,9 @@ def block_ratio_norm(
 ) -> float:
     """Ratio norm of block ``j`` (coefficients over weights, block entries only)."""
     lo, hi = spec.block_range(j)
-    weights = stream.weights(hi)[lo:].tolist()
+    entries = stream.prefix(hi)[lo:]
     return seq_norm(
-        [abs(oracle.query(stream.entry(i)[0])) / lam for i, lam in zip(range(lo, hi), weights)],
-        config.ratio_exponent,
+        [abs(oracle.query(k)) / lam for k, lam in entries], config.ratio_exponent
     )
 
 
@@ -991,18 +1007,32 @@ def verify_regularity(
                 decay_ok = False
                 excess = max(other / high if high else math.inf, low / other if other else math.inf)
                 worst_excess = max(worst_excess, excess)
-    spreads = []  # first-to-last weight ratio inside each nonempty block
+    spread_ok = True
+    worst_spread = 1.0
     for j in range(1, block_window + 1):
         lo, hi = spec.block_range(j)
         weights = stream.weights(hi)[lo:]
-        if len(weights) and weights[-1] > 0.0:
-            spreads.append(float(weights[0] / weights[-1]))
-    floors = [1.0 - spec.size(j) / spec.size(j + 1) for j in range(block_window)]
+        if not len(weights):
+            continue
+        first, last = float(weights[0]), float(weights[-1])
+        if last == 0.0:
+            continue
+        spread = first / last
+        worst_spread = max(worst_spread, spread)
+        if spread > constants.weight_spread * tol:
+            spread_ok = False
+    retention_ok = True
+    worst_retention = 1.0
+    for j in range(0, block_window):
+        floor = 1.0 - spec.size(j) / spec.size(j + 1)
+        worst_retention = min(worst_retention, floor)
+        if constants.retained_fraction > floor * tol:
+            retention_ok = False
     return RegularityReport(
         decay_ok=decay_ok,
-        spread_ok=all(s <= constants.weight_spread * tol for s in spreads),
-        retention_ok=all(constants.retained_fraction <= f * tol for f in floors),
+        spread_ok=spread_ok,
+        retention_ok=retention_ok,
         worst_decay_excess=worst_excess,
-        worst_spread=max([1.0] + spreads),
-        worst_retention=min([1.0] + floors),
+        worst_spread=worst_spread,
+        worst_retention=worst_retention,
     )

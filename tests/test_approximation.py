@@ -152,6 +152,18 @@ def test_tail_norm_never_undershoots_pinned_model():
         assert Fraction(tail_weight_norm(cfg, model, stream, n)) ** 2 >= tail_power
 
 
+def test_tail_norm_never_undershoots_at_a_large_exponent():
+    # at p = 400 the rounding of the root alone, about p/2 ulps of the p-th
+    # power, exceeds a fixed slack on the power sum: a 64-ulp slack there
+    # undershot at 30 of these 65 depths, plain subtraction at 33
+    model = WeightModel(3, (0.9, 0.6, 0.3), TableDecay((1.0, 0.5, 0.2), 0.0))
+    cfg = SpaceConfig(math.inf, 400.0)
+    stream = WavenumberStream(model)
+    exact = _exact_tail_powers(model, 400)
+    for n, tail_power in enumerate(exact):
+        assert Fraction(tail_weight_norm(cfg, model, stream, n)) ** 400 >= tail_power
+
+
 # spaces with integer tail exponents 1, 2, 3 and 4, so exact sums are rational
 _INTEGER_TAIL_SPACES = (
     SpaceConfig(math.inf, 1.0), SpaceConfig(2.0, 1.0), SpaceConfig(3.0, 1.5), SpaceConfig(4.0, 2.0)
