@@ -281,25 +281,6 @@ def _pow_up(x: float, e: float) -> float:
     return y * (1.0 + (2.0 + 2.0 * abs(math.log(y))) * _EPS) if y > 0.0 else y
 
 
-class _PowerSums:
-    """Compensated prefix sums of ``weight**exponent`` along the stream."""
-
-    def __init__(self, stream: WavenumberStream, exponent: float):
-        self.stream = stream
-        self.exponent = exponent
-        self._sums = [0.0]  # sums[i]: the first i powers
-        self._acc = _Accumulator()
-
-    def at(self, n: int) -> float:
-        """Sum of the first ``n`` powers; raises StreamExhausted past the stream's end."""
-        sums = self._sums
-        if n >= len(sums):
-            for index in range(len(sums) - 1, n):
-                self._acc.add(self.stream.entry(index)[1] ** self.exponent)
-                sums.append(self._acc.value)
-        return sums[n]
-
-
 class _TailNorms:
     """Certified tail norms of the weight stream.
 
@@ -339,7 +320,8 @@ class _TailNorms:
                 "weight power sum diverges at the tail exponent; "
                 "no finite certificate exists on this space"
             )
-        self._sums = _PowerSums(stream, p)
+        self._sums = [0.0]  # sums[i]: compensated sum of the first i powers
+        self._acc = _Accumulator()
         self._slack = _SLACK * self.total
         # auxiliary bound: the smallest grid exponent q < p with a finite power sum
         grid = ((p * frac, model.weight_power_sum(p * frac)) for frac in (0.125, 0.25, 0.5, 0.75, 0.875))
@@ -356,10 +338,15 @@ class _TailNorms:
                 return self.stream.entry(n)[1]
             except StreamExhausted:
                 return 0.0
-        try:
-            remainder = self.total - self._sums.at(n)
-        except StreamExhausted:
-            return 0.0
+        sums = self._sums
+        if n >= len(sums):
+            try:
+                for index in range(len(sums) - 1, n):
+                    self._acc.add(self.stream.entry(index)[1] ** self.exponent)
+                    sums.append(self._acc.value)
+            except StreamExhausted:
+                return 0.0
+        remainder = self.total - sums[n]
         if remainder < -_CLAMP * max(self.total, 1.0):
             raise ArithmeticError(
                 f"tail power sum went negative beyond round-off at n={n}: {remainder!r}"
