@@ -724,10 +724,11 @@ def tracking_tail_norm(
 
     Truncates the series under a geometric remainder bound: every later
     block norm is dominated by the running weight tail norm, so the cut
-    error is a known geometric sum.  The remainder bound is folded into the
-    returned value, which therefore never undershoots the true norm; it only
-    loosens (still certified) when slow decay meets fast-growing blocks and
-    the enumeration guard cuts the scan early.
+    error is a known geometric sum.  The remainder bound and an allowance
+    for the rounding of every term and of their sum are folded into the
+    returned value, whose root is rounded upward, so it never undershoots
+    the true norm; it only loosens (still certified) when slow decay meets
+    fast-growing blocks and the enumeration guard cuts the scan early.
     """
     t = config.solution_exponent
     b = spec.decay
@@ -749,14 +750,21 @@ def tracking_tail_norm(
             acc.add(term ** t)
         cap = tails.tail(spec.size(j + r))
         guard_hit = spec.size(j + r) >= size_guard
+        # b_pow carries r - 1 roundings and a block norm (a root of a sum of
+        # powers) at most 16 ulps, so a term or the remainder errs by at most
+        # r + 17 ulps; the allowance doubles its count for second-order terms
         if math.isinf(t):
             rem = b_pow * b * cap
             if rem <= sup or rem == 0.0 or guard_hit:
-                return max(sup, rem)
+                return max(sup, rem) * (1.0 + 2.0 * (r + 17) * _EPS)
         else:
-            rem = b_pow * b * cap / (1.0 - b ** t) ** (1.0 / t)
+            denominator = 1.0 - b ** t
+            rem = b_pow * b * cap / denominator ** (1.0 / t)
             if rem == 0.0 or rem ** t <= 1e-12 * acc.value or guard_hit:
-                return (acc.value + rem ** t) ** (1.0 / t)
+                # t-th powers multiply those ulps by t and add one; the
+                # denominator adds 1 / denominator and the compensated sum two
+                ulps = t * (r + 17) + 1.0 / denominator + 4.0
+                return _pow_up((acc.value + rem ** t) * (1.0 + 2.0 * ulps * _EPS), 1.0 / t)
 
 
 def tracking_error_bound(

@@ -16,6 +16,7 @@ emits CSV and JSON-lines rows in deterministic order.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
 import json
 import math
@@ -26,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .approximation import ApproxOutcome, DEFAULT_BUDGET_CAP
-from .enumeration import WavenumberStream
+from .enumeration import _box_weights
 from .inference import CandidateSets, approximate_with_inferred_weights
 from .spaces import CoefficientOracle, SpaceConfig
 from .weights import TableDecay, WeightModel
@@ -49,6 +50,7 @@ __all__ = [
 Wavenumber = Tuple[int, ...]
 
 _SMOOTHNESS_TABLE = (1.0, 1.0 / 16.0, 1.0 / 81.0, 1.0 / 256.0)
+_TENSOR_LIMIT = 4  # ``EvaluationGrid.for_dimension`` picks tensor grids up to this many axes
 
 
 def _unit_hash(key: bytes, message: str) -> float:
@@ -85,15 +87,18 @@ class RandomSeriesFunction:
         return CoefficientOracle.from_function(self.coefficient)
 
     def support(self) -> List[Tuple[Wavenumber, float]]:
-        """Every nonzero-coefficient wavenumber with its coefficient."""
+        """Every nonzero-coefficient wavenumber with its coefficient, in lexicographic order."""
+        degrees = range(len(self.model.decay.values) + 1)  # the table truncates past its end
+        ks, lam = _box_weights(self.model, [degrees] * self.dimension)
         out = []
-        for k, lam in WavenumberStream(self.model):
-            c = self.noise(k) * lam
+        for k, w in zip(map(tuple, ks.T.tolist()), lam.tolist()):
+            c = self.noise(k) * w
             if c != 0.0:
                 out.append((k, c))
         return out
 
 
+@functools.lru_cache(maxsize=64)
 def _seed_key(seed: int) -> bytes:
     return hashlib.blake2b(f"series-seed:{seed}".encode(), digest_size=16).digest()
 
@@ -141,10 +146,12 @@ def _first_primes(count: int) -> List[int]:
     return primes
 
 
-def _radical_inverse(base: int, index: int) -> float:
-    inv, scale = 0.0, 1.0 / base
-    while index:
-        inv += scale * (index % base)
+def _radical_inverses(base: int, count: int) -> np.ndarray:
+    """Van der Corput radical inverses of the indices ``1..count`` in ``base``."""
+    index = np.arange(1, count + 1)
+    inv, scale = np.zeros(count), 1.0 / base
+    while index.any():
+        inv += scale * (index % base)  # finished indices add an exact zero
         index //= base
         scale /= base
     return inv
@@ -155,7 +162,7 @@ class EvaluationGrid:
 
     Tensor grids keep only the per-axis Chebyshev-extrema angles and exploit
     the product structure; scatter grids hold low-discrepancy points
-    explicitly.  ``for_dimension`` picks tensor up to ``tensor_limit`` axes
+    explicitly.  ``for_dimension`` picks tensor up to ``_TENSOR_LIMIT`` axes
     and scatter beyond, where a tensor grid would be astronomically large.
     """
 
@@ -181,18 +188,14 @@ class EvaluationGrid:
         bases = _first_primes(dimension)
         pts = np.empty((count, dimension))
         for axis, base in enumerate(bases):
-            pts[:, axis] = [2.0 * _radical_inverse(base, i) - 1.0 for i in range(1, count + 1)]
+            pts[:, axis] = 2.0 * _radical_inverses(base, count) - 1.0
         return cls(dimension, "scatter", points=pts)
 
     @classmethod
     def for_dimension(
-        cls,
-        dimension: int,
-        axis_points: int = 33,
-        scatter_count: int = 2 ** 14,
-        tensor_limit: int = 4,
+        cls, dimension: int, axis_points: int = 33, scatter_count: int = 2 ** 14
     ) -> "EvaluationGrid":
-        if dimension <= tensor_limit:
+        if dimension <= _TENSOR_LIMIT:
             return cls.tensor(dimension, axis_points)
         return cls.scatter(dimension, scatter_count)
 
@@ -369,31 +372,31 @@ class ExperimentConfig:
         return cls(**body)
 
 
-def _run_cell(args: tuple) -> ExperimentRow:
-    (d, eps, seed, inflation, cap, budget, axis_points, scatter_count, timing) = args
-    started = time.perf_counter() if timing else 0.0
+def _run_cell(config: ExperimentConfig, cell: Tuple[int, float, int]) -> ExperimentRow:
+    d, eps, seed = cell
+    started = time.perf_counter() if config.timing else 0.0
     try:
         fn = make_random_function(d, seed)
         oracle = fn.oracle()
         space = SpaceConfig(math.inf, 1.0)
         # Candidate rates are trimmed to spaces with finite tail norms; a
         # rate at or below 1/tail_exponent could never certify anything.
-        full = CandidateSets.default(weight_cap=1.0, axis_degree_cap=cap)
+        full = CandidateSets.default(weight_cap=1.0, axis_degree_cap=config.axis_degree_cap)
         rates = tuple(r for r in full.rate_grid if r * space.tail_exponent > 1.0)
         outcome = approximate_with_inferred_weights(
             oracle,
             d,
-            CandidateSets(full.coordinate_grid, rates, cap),
+            CandidateSets(full.coordinate_grid, rates, config.axis_degree_cap),
             space,
-            inflation=inflation,
+            inflation=config.inflation,
             tolerance=eps,
-            budget_cap=budget,
+            budget_cap=config.budget_cap,
         )
         residual = residual_terms(fn.support(), outcome.terms)
         g_norm = math.fsum(abs(c) for c in residual.values())
-        grid = EvaluationGrid.for_dimension(d, axis_points, scatter_count)
+        grid = EvaluationGrid.for_dimension(d, config.axis_points, config.scatter_count)
         sup = grid_sup(residual, grid)
-        wall = int(round((time.perf_counter() - started) * 1000.0)) if timing else 0
+        wall = int(round((time.perf_counter() - started) * 1000.0)) if config.timing else 0
         return ExperimentRow(
             d=d,
             eps=eps,
@@ -408,7 +411,7 @@ def _run_cell(args: tuple) -> ExperimentRow:
             cone_violated=outcome.cone_violated,
         )
     except Exception as exc:  # noqa: BLE001 - a bad cell must not sink the run
-        wall = int(round((time.perf_counter() - started) * 1000.0)) if timing else 0
+        wall = int(round((time.perf_counter() - started) * 1000.0)) if config.timing else 0
         return ExperimentRow(
             d=d,
             eps=eps,
@@ -425,19 +428,12 @@ def _run_cell(args: tuple) -> ExperimentRow:
 
 def run_experiment(config: ExperimentConfig) -> List[ExperimentRow]:
     """All cells in deterministic (dimension, tolerance, seed) order."""
-    cells = [
-        (
-            d, eps, seed, config.inflation, config.axis_degree_cap,
-            config.budget_cap, config.axis_points, config.scatter_count, config.timing,
-        )
-        for d in config.dimensions
-        for eps in config.tolerances
-        for seed in config.seeds
-    ]
+    cells = [(d, eps, seed) for d in config.dimensions for eps in config.tolerances for seed in config.seeds]
+    run_cell = functools.partial(_run_cell, config)
     if config.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(_run_cell, cells))
-    return [_run_cell(cell) for cell in cells]
+            return list(pool.map(run_cell, cells))
+    return [run_cell(cell) for cell in cells]
 
 
 def write_csv(rows: Sequence[ExperimentRow], path: str) -> None:

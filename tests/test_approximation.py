@@ -600,6 +600,61 @@ def test_tracking_tail_norm_against_truncated_sum():
     assert got == pytest.approx(oracle_value, rel=1e-9)
 
 
+def _tracking_tail_undershoots(model, cfg, spec, j):
+    """Whether ``tracking_tail_norm`` falls below the exact sum over a finite stream.
+
+    Works at (inf, 1), where block norms are sums, and at (2, 2), where they
+    are maxima; the solution exponent is 1 or 2, so the sum is rational.
+    """
+    got = tracking_tail_norm(cfg, model, WavenumberStream(model), spec, j)
+    weights = [Fraction(lam) for _, lam in WavenumberStream(model)]
+    t, b = int(cfg.solution_exponent), Fraction(spec.decay)
+    exact, r = Fraction(0), 1
+    while spec.size(j + r - 1) < len(weights):
+        lo, hi = spec.block_range(j + r)
+        block = weights[lo:hi]
+        exact += (b ** r * (max(block) if t == 2 else sum(block))) ** t
+        r += 1
+    return Fraction(got) ** t < exact
+
+
+def test_tracking_tail_norm_never_undershoots_pinned_model():
+    # the unrounded close returned 0.003238298371270502 here, below the exact sum
+    model = WeightModel(
+        1,
+        (0.10189544801599963,),
+        TableDecay(
+            (1.0, 0.12409535504370536, 0.10056691771283474, 0.0470504343620909, 0.03519081107364323),
+            0.0,
+        ),
+    )
+    spec = TrackingConeSpec(start=2, inflation=1.5, decay=0.3864313923200817)
+    assert not _tracking_tail_undershoots(model, SpaceConfig(math.inf, 1.0), spec, 1)
+
+
+def test_tracking_tail_norm_never_undershoots_truncated_tables():
+    # the unrounded close undershot about half of these cases
+    rng = random.Random(11)
+    undershoots = []
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        values = [1.0]
+        for _ in range(rng.randint(0, 4)):
+            values.append(values[-1] * rng.uniform(0.05, 1.0))
+        model = WeightModel(
+            d, tuple(rng.uniform(0.05, 1.5) for _ in range(d)), TableDecay(tuple(values), 0.0)
+        )
+        spec = TrackingConeSpec(start=rng.randint(1, 4), inflation=1.5, decay=rng.uniform(0.05, 0.95))
+        live = len(WavenumberStream(model).prefix(10 ** 4))
+        for cfg in (SpaceConfig(math.inf, 1.0), SpaceConfig(2.0, 2.0)):
+            j = 0
+            while spec.size(j) < live:
+                if _tracking_tail_undershoots(model, cfg, spec, j):
+                    undershoots.append((model, cfg, spec, j))
+                j += 1
+    assert not undershoots
+
+
 def test_tracking_necessary_check():
     assert tracking_necessary_check([1.0, 0.4, 0.2], 2.0, 0.5)
     assert not tracking_necessary_check([0.1, 1.0], 2.0, 0.5)

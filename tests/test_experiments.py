@@ -12,6 +12,7 @@ from coneapprox import (
     EvaluationGrid,
     ExperimentConfig,
     ExperimentRow,
+    WavenumberStream,
     chebyshev_eval,
     grid_sup,
     make_random_function,
@@ -32,6 +33,14 @@ def test_random_function_seed_zero_fixture():
     support = fn.support()
     assert len(support) == 625  # five degrees per axis, zero smoothness beyond
     assert all(abs(c) <= 1.0 for _, c in support)
+
+
+def test_support_matches_the_weight_stream():
+    # the support is read off the coefficient box; the stream is the reference
+    for d, seed in [(1, 4), (2, 0), (3, 5), (4, 2)]:
+        fn = make_random_function(d, seed)
+        via_stream = {k: fn.noise(k) * lam for k, lam in WavenumberStream(fn.model)}
+        assert dict(fn.support()) == {k: c for k, c in via_stream.items() if c != 0.0}
 
 
 def test_random_function_noise_properties():
@@ -122,6 +131,21 @@ def test_scatter_grid_deterministic_and_in_domain():
     assert np.array_equal(a, b)
     assert a.shape == (64, 5)
     assert np.all(a >= -1.0) and np.all(a <= 1.0)
+
+
+def test_scatter_grid_matches_plain_radical_inverse():
+    def radical_inverse(base, index):
+        inv, scale = 0.0, 1.0 / base
+        while index:
+            inv += scale * (index % base)
+            index //= base
+            scale /= base
+        return inv
+
+    points = EvaluationGrid.scatter(7, 1000).points
+    for axis, base in enumerate((2, 3, 5, 7, 11, 13, 17)):
+        want = [2.0 * radical_inverse(base, i) - 1.0 for i in range(1, 1001)]
+        assert points[:, axis].tolist() == want  # bitwise
 
 
 # --- grid sup -----------------------------------------------------------------------
@@ -230,6 +254,29 @@ def test_run_experiment_reports_falsified_cone():
     assert rows[0].cone_violated is True
     assert rows[0].to_csv().endswith(",True")
     assert json.loads(rows[0].to_json())["cone_violated"] is True
+
+
+def test_run_experiment_pinned_rows():
+    rows = run_experiment(
+        ExperimentConfig(dimensions=(4,), tolerances=(1e-3,), seeds=(0,), inflation=1.1)
+    )
+    assert rows[0].to_csv() == (
+        "4,0.001,0,168,0.00020665955715969085,0.20665955715969084,"
+        "0.000644180469122477,4.5,ToleranceMet,0,True"
+    )
+    rows = run_experiment(
+        ExperimentConfig(dimensions=(7,), tolerances=(1e-1,), seeds=(3,), scatter_count=4096)
+    )
+    assert rows[0].to_csv() == (
+        "7,0.1,3,103,0.003460638736152751,0.034606387361527505,"
+        "0.025385735915913633,4.5,ToleranceMet,0,False"
+    )
+
+
+def test_run_experiment_jobs_match_serial():
+    serial = run_experiment(_small_config())
+    pooled = run_experiment(_small_config(jobs=2))
+    assert [r.to_csv() for r in pooled] == [r.to_csv() for r in serial]
 
 
 def test_run_experiment_rerun_is_identical():
