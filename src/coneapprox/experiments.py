@@ -18,6 +18,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -50,7 +51,7 @@ __all__ = [
 Wavenumber = Tuple[int, ...]
 
 _SMOOTHNESS_TABLE = (1.0, 1.0 / 16.0, 1.0 / 81.0, 1.0 / 256.0)
-_TENSOR_LIMIT = 4  # ``EvaluationGrid.for_dimension`` picks tensor grids up to this many axes
+_TENSOR_LIMIT = 4
 
 
 def _unit_hash(key: bytes, message: str) -> float:
@@ -428,7 +429,7 @@ def _run_cell(config: ExperimentConfig, cell: Tuple[int, float, int]) -> Experim
 
 def run_experiment(config: ExperimentConfig) -> List[ExperimentRow]:
     """All cells in deterministic (dimension, tolerance, seed) order."""
-    cells = [(d, eps, seed) for d in config.dimensions for eps in config.tolerances for seed in config.seeds]
+    cells = list(itertools.product(config.dimensions, config.tolerances, config.seeds))
     run_cell = functools.partial(_run_cell, config)
     if config.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
