@@ -257,12 +257,22 @@ class _Accumulator:
         self._comp = 0.0
 
     def add(self, x: float) -> None:
-        t = self._sum + x
-        if abs(self._sum) >= abs(x):
-            self._comp += (self._sum - t) + x
-        else:
-            self._comp += (x - t) + self._sum
-        self._sum = t
+        self.running((x,))
+
+    def running(self, values) -> List[float]:
+        """Add the values in turn; returns the compensated sum after each."""
+        total, comp = self._sum, self._comp
+        out = []
+        for x in values:
+            t = total + x
+            if abs(total) >= abs(x):
+                comp += (total - t) + x
+            else:
+                comp += (x - t) + total
+            total = t
+            out.append(total + comp)
+        self._sum, self._comp = total, comp
+        return out
 
     @property
     def value(self) -> float:
@@ -310,6 +320,8 @@ class _TailNorms:
         if stream.model is not model and stream.model != model:
             raise ValueError("stream was built over a different weight model")
         self.stream = stream
+        self.config = config
+        self._blocks: dict = {}  # (spec, j) -> block_weight_norm, filled by block_norm
         p = self.exponent = config.tail_exponent
         if math.isinf(p):
             self.total = None
@@ -334,17 +346,14 @@ class _TailNorms:
         if n < 0:
             raise ValueError("tail position must be nonnegative")
         if math.isinf(self.exponent):
-            try:
-                return self.stream.entry(n)[1]
-            except StreamExhausted:
-                return 0.0
+            weights = self.stream.weights(n + 1)
+            return float(weights[n]) if len(weights) > n else 0.0
         sums = self._sums
         if n >= len(sums):
-            try:
-                for index in range(len(sums) - 1, n):
-                    self._acc.add(self.stream.entry(index)[1] ** self.exponent)
-                    sums.append(self._acc.value)
-            except StreamExhausted:
+            weights = self.stream.weights(n)
+            p = self.exponent
+            sums += self._acc.running([lam ** p for lam in weights[len(sums) - 1 :].tolist()])
+            if len(weights) < n:  # the stream ends before n: nothing remains
                 return 0.0
         remainder = self.total - sums[n]
         if remainder < -_CLAMP * max(self.total, 1.0):
@@ -356,6 +365,14 @@ class _TailNorms:
         if slack > _TIGHT * (remainder + slack) and self._aux is not None:
             root = min(root, self._windowed(n))
         return root
+
+    def block_norm(self, spec: TrackingConeSpec, j: int) -> float:
+        """``block_weight_norm`` of block ``j``, computed once per spec and block."""
+        key = (spec, j)
+        norm = self._blocks.get(key)
+        if norm is None:
+            norm = self._blocks[key] = block_weight_norm(self.stream, self.config, spec, j)
+        return norm
 
     def _windowed(self, n: int) -> float:
         """``(S(n, N) + auxiliary bound at N)**(1/p)`` over a window from ``n``."""
@@ -741,7 +758,7 @@ def tracking_tail_norm(
     while True:
         r += 1
         b_pow *= b
-        lam_block = block_weight_norm(stream, config, spec, j + r)
+        lam_block = tails.block_norm(spec, j + r)
         term = b_pow * lam_block
         if math.isinf(t):
             if term > sup:
@@ -921,7 +938,7 @@ def tracking_complexity_lower(
     b_pow = b
     for j in range(1, block_cap + 1):
         b_pow *= b  # decay**(j+1)
-        if b_pow * block_weight_norm(stream, config, spec, j + 1) > threshold:
+        if b_pow * tails.block_norm(spec, j + 1) > threshold:
             best = j
         elif b_pow * tails.tail(spec.size(j)) <= threshold:
             break  # every later block norm is already dominated

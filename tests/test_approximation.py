@@ -48,6 +48,7 @@ from coneapprox import (
     zeta,
 )
 
+from coneapprox.approximation import _TailNorms
 from conftest import (
     exact_residual,
     pilot_cone_member,
@@ -630,6 +631,33 @@ def test_tracking_tail_norm_never_undershoots_pinned_model():
     )
     spec = TrackingConeSpec(start=2, inflation=1.5, decay=0.3864313923200817)
     assert not _tracking_tail_undershoots(model, SpaceConfig(math.inf, 1.0), spec, 1)
+
+
+_PINNED_TABLE_MODEL = WeightModel(
+    1,
+    (0.10189544801599963,),
+    TableDecay(
+        (1.0, 0.12409535504370536, 0.10056691771283474, 0.0470504343620909, 0.03519081107364323),
+        0.0,
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "model",
+    (_PINNED_TABLE_MODEL, WeightModel(2, (0.8, 0.5), AlgebraicDecay(3.0), (1.0, 0.9, 0.7))),
+    ids=("table", "algebraic"),
+)
+def test_tracking_tail_norm_memoised_block_norms_are_bitwise_fresh(model):
+    # one shared tail engine memoises block norms across j; fresh calls share nothing
+    spec = TrackingConeSpec(start=2, inflation=1.5, decay=0.3864313923200817)
+    for cfg in (SpaceConfig(math.inf, 1.0), SpaceConfig(2.0, 1.0), SpaceConfig(2.0, 2.0)):
+        shared = WavenumberStream(model)
+        tails = _TailNorms(cfg, model, shared)
+        for j in range(1, 9):
+            memoised = tracking_tail_norm(cfg, model, shared, spec, j, _tails=tails)
+            fresh = tracking_tail_norm(cfg, model, WavenumberStream(model), spec, j)
+            assert memoised == fresh, (cfg, j)
 
 
 def test_tracking_tail_norm_never_undershoots_truncated_tables():

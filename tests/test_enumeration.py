@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coneapprox import (
     AlgebraicDecay,
@@ -215,3 +217,115 @@ def test_csv_dump_stops_at_exhaustion(tmp_path):
     target = tmp_path / "short.csv"
     rows = write_prefix_csv(model, 100, str(target))
     assert rows == 2  # origin plus degree one
+
+
+def _reference(model, count):
+    box = 8
+    while True:
+        try:
+            return brute_force_order(model, box, count)
+        except ValueError:
+            box *= 2
+
+
+# w * s(1) > 1 on some axis: a child outweighs its parent there
+_BOOSTED = (
+    WeightModel(1, (2.5,), AlgebraicDecay(2.0)),
+    WeightModel(2, (1.8, 0.6), AlgebraicDecay(3.0), (1.0, 0.7, 0.5)),
+    WeightModel(3, (0.5, 3.0, 1.2), TableDecay((1.0, 0.6, 0.3), 0.4)),
+    # a large boost on the last axis lifts partials that weigh less than the threshold
+    WeightModel(3, (0.5, 0.4, 8.0), AlgebraicDecay(4.0)),
+)
+
+
+@pytest.mark.parametrize("model", _BOOSTED)
+def test_boosted_models_match_brute_force(model):
+    assert max(w * model.head_decay() for w in model.coordinate_weights) > 1.0
+    assert WavenumberStream(model).prefix(2000) == _reference(model, 2000)
+
+
+@st.composite
+def _stream_models(draw):
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("boosted", "truncated", "dead", "tied")))
+    if kind == "tied":
+        # equal coordinate weights and equal interaction weights: wide weight ties
+        w = (draw(st.sampled_from((0.5, 1.0))),) * d
+        gamma = (1.0,) + (draw(st.floats(0.3, 1.0)),) * d
+    else:
+        high = 2.5 if kind == "boosted" else 1.0
+        w = [draw(st.floats(0.05, high)) for _ in range(d)]
+        if kind == "dead":
+            w[draw(st.integers(0, d - 1))] = 0.0
+        gamma = [1.0]
+        for _ in range(d):
+            gamma.append(gamma[-1] * draw(st.floats(0.3, 1.0)))
+    if kind == "truncated":
+        values = [1.0]
+        for r in draw(st.lists(st.floats(0.05, 1.0), max_size=4)):
+            values.append(values[-1] * r)
+        decay = TableDecay(tuple(values), 0.0)
+    else:
+        decay = AlgebraicDecay(draw(st.floats(2.5, 5.0)))
+    return WeightModel(d, tuple(w), decay, tuple(gamma))
+
+
+@settings(max_examples=80, deadline=5000)
+@given(model=_stream_models(), count=st.integers(1, 300))
+def test_stream_matches_brute_force_property(model, count):
+    assert WavenumberStream(model).prefix(count) == _reference(model, count)
+
+
+def test_interleaved_requests_across_bands(rng):
+    # many small requests cut the stream into other bands than one large one
+    for model in (_model_2d(), _BOOSTED[2], random_model(rng, max_dim=3)):
+        whole = WavenumberStream(model).prefix(3000)
+        stream = WavenumberStream(model)
+        served = 0
+        for step in range(150):
+            n = min(rng.randrange(20 * step + 2), len(whole))
+            kind = step % 3
+            if kind == 0 and n < len(whole):
+                assert stream.entry(n) == whole[n]
+                served = max(served, n + 1)
+            elif kind == 1:
+                assert stream.prefix(n) == whole[:n]
+                served = max(served, n)
+            else:
+                assert stream.weights(n).tolist() == [lam for _, lam in whole[:n]]
+                served = max(served, n)
+            assert stream.emitted_count == served
+
+
+def test_exhaustion_exactly_at_the_last_positive_weight():
+    model = WeightModel(2, (1.0, 0.5), TableDecay((1.0, 0.5, 0.25), 0.0), (1.0, 0.8, 0.6))
+    live = _reference(model, 100)
+    assert len(live) == 16  # degrees 0..3 on both axes
+    stream = WavenumberStream(model)
+    assert stream.entry(15) == live[15]
+    with pytest.raises(StreamExhausted):
+        stream.entry(16)
+    assert stream.prefix(100) == live
+    assert len(stream.weights(17)) == 16
+    assert stream.emitted_count == 16
+
+
+def test_exhaustion_at_the_least_subnormal_weight():
+    # a geometric tail 0.5**(k-1) underflows to zero past k = 1075
+    model = WeightModel(1, (1.0,), TableDecay((1.0,), 0.5))
+    entries = list(WavenumberStream(model))
+    assert len(entries) == 1076
+    assert entries[-1] == ((1075,), 5e-324)
+    assert entries == brute_force_order(model, 1100, 2000)
+
+
+def test_subnormal_band_edges_are_checked_exactly():
+    # past the geometric tail's underflow the weights are subnormal, where a
+    # widened threshold no longer covers rounding: the widened estimate alone
+    # drops the last of these 1,387 wavenumbers
+    model = WeightModel(
+        1, (0.8121518081097744,), TableDecay((1.0,), 0.5846019374111061), (1.0, 0.3441747753213965)
+    )
+    entries = list(WavenumberStream(model))
+    assert len(entries) == 1387
+    assert entries == brute_force_order(model, 1500, 2000)
