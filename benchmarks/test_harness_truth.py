@@ -1,0 +1,68 @@
+"""Harness ground-truth micro-benchmarks, run with pytest-benchmark.
+
+From the repository root:
+
+    PYTHONPATH=src python -m pytest benchmarks/test_harness_truth.py --benchmark-only
+
+Tier-1 does not collect this directory (``testpaths = ["tests"]``).  The
+cell is gate 07's ``d = 7, eps = 1e-2, seed = 3``; one run of it records the
+sampled terms and the residual handed to ``grid_sup``.  Then:
+
+* ``test_support_and_residual``: ``support()`` of the cell's function and
+  the zeroing of its sampled terms inside the box, as the cell does it;
+* ``test_grid_sup``: ``grid_sup`` of that residual on the scatter grid of
+  4,096 and of 16,384 points (the grid is built outside the timing).
+"""
+
+import pytest
+
+import coneapprox.experiments as experiments
+from coneapprox import (
+    EvaluationGrid,
+    ExperimentConfig,
+    approximate_with_inferred_weights,
+    grid_sup,
+    make_random_function,
+    run_experiment,
+)
+
+D, EPS, SEED = 7, 1e-2, 3
+
+
+@pytest.fixture(scope="module")
+def cell():
+    seen = {}
+
+    def pipeline(*args, **kwargs):
+        outcome = approximate_with_inferred_weights(*args, **kwargs)
+        seen["terms"] = outcome.terms
+        return outcome
+
+    def sup(coefficients, grid):
+        seen["residual"] = coefficients.copy()
+        return grid_sup(coefficients, grid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "approximate_with_inferred_weights", pipeline)
+        patch.setattr(experiments, "grid_sup", sup)
+        run_experiment(ExperimentConfig(dimensions=(D,), tolerances=(EPS,), seeds=(SEED,)))
+    return seen
+
+
+def test_support_and_residual(benchmark, cell):
+    fn = make_random_function(D, SEED)
+
+    def run():
+        residual = fn.support()
+        for k, _ in cell["terms"]:
+            if max(k) < residual.shape[0]:
+                residual[k] = 0.0
+        return residual
+
+    assert (benchmark.pedantic(run, rounds=5) == cell["residual"]).all()
+
+
+@pytest.mark.parametrize("points", (4096, 16384))
+def test_grid_sup(benchmark, cell, points):
+    grid = EvaluationGrid.scatter(D, points)
+    assert benchmark.pedantic(grid_sup, (cell["residual"], grid), rounds=3) > 0.0

@@ -5,8 +5,9 @@ both a permutation that shuffles coordinate importance and the signed
 magnitudes of the coefficients, so every function is reproducible from
 ``(dimension, seed)`` alone, across platforms and process boundaries.  The
 smoothness table is cut off at degree four, which keeps each function an
-exactly representable polynomial: residual norms and grids of residual
-values are computed from the full finite term set with no truncation error.
+exactly representable polynomial whose coefficients fill the box
+``{0..4}^d``: residual norms and grids of residual values are computed from
+that dense coefficient array with no truncation error.
 
 The harness runs the probe-and-infer pipeline per ``(dimension, tolerance,
 seed)`` cell, measures true errors against the certified tolerance, and
@@ -22,8 +23,8 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import asdict, astuple, dataclass, field, fields
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "make_random_function",
     "EvaluationGrid",
     "chebyshev_eval",
-    "residual_terms",
     "grid_sup",
     "ExperimentConfig",
     "ExperimentRow",
@@ -87,16 +87,12 @@ class RandomSeriesFunction:
     def oracle(self) -> CoefficientOracle:
         return CoefficientOracle.from_function(self.coefficient)
 
-    def support(self) -> List[Tuple[Wavenumber, float]]:
-        """Every nonzero-coefficient wavenumber with its coefficient, in lexicographic order."""
+    def support(self) -> np.ndarray:
+        """Coefficients on the box ``{0..4}^d``, indexed by wavenumber; every other one is 0."""
         degrees = range(len(self.model.decay.values) + 1)  # the table truncates past its end
         ks, lam = _box_weights(self.model, [degrees] * self.dimension)
-        out = []
-        for k, w in zip(map(tuple, ks.T.tolist()), lam.tolist()):
-            c = self.noise(k) * w
-            if c != 0.0:
-                out.append((k, c))
-        return out
+        noise = np.array([self.noise(k) for k in map(tuple, ks.T.tolist())])
+        return (noise * lam).reshape((len(degrees),) * self.dimension)
 
 
 @functools.lru_cache(maxsize=64)
@@ -207,47 +203,19 @@ class EvaluationGrid:
         return self.points.shape[0]
 
 
-def residual_terms(
-    exact: Iterable[Tuple[Wavenumber, float]], approx: Iterable[Tuple[Wavenumber, float]]
-) -> Dict[Wavenumber, float]:
-    """Coefficients of (exact - approx), zeros dropped."""
-    out: Dict[Wavenumber, float] = {}
-    for k, c in exact:
-        if c != 0.0:
-            out[k] = out.get(k, 0.0) + float(c)
-    for k, c in approx:
-        v = out.get(k, 0.0) - float(c)
-        if v == 0.0:
-            out.pop(k, None)
-        else:
-            out[k] = v
-    return {k: v for k, v in out.items() if v != 0.0}
+def grid_sup(coefficients: np.ndarray, grid: EvaluationGrid) -> float:
+    """Max absolute value over the grid of the series whose coefficient at ``k`` is ``coefficients[k]``.
 
-
-def _dense_coefficients(terms: Dict[Wavenumber, float], dimension: int):
-    degrees = [0] * dimension
-    for k in terms:
-        for axis, deg in enumerate(k):
-            if deg > degrees[axis]:
-                degrees[axis] = deg
-    shape = tuple(deg + 1 for deg in degrees)
-    dense = np.zeros(shape)
-    for k, c in terms.items():
-        dense[k] = c
-    return dense
-
-
-def grid_sup(terms: Dict[Wavenumber, float], grid: EvaluationGrid) -> float:
-    """Max absolute value of the series over the grid.
-
-    The term set is finite and evaluated exactly, so the only slack is the
+    The series is finite and evaluated exactly, so the only slack is the
     grid resolution itself; the result never exceeds the true sup norm.
     """
-    if not terms:
+    nonzero = np.nonzero(coefficients)
+    if not nonzero[0].size:
         return 0.0
-    dense = _dense_coefficients(terms, grid.dimension)
+    # trimmed to the nonzero extent, so the contraction below sees the smallest shapes
+    dense = np.ascontiguousarray(coefficients[tuple(slice(int(i.max()) + 1) for i in nonzero)])
     if dense.size > 2 ** 24:
-        raise ValueError("term set spans too broad a lattice for dense evaluation")
+        raise ValueError("nonzero coefficients span too broad a lattice for dense evaluation")
     if grid.kind == "tensor":
         tables = [
             np.cos(np.outer(np.arange(n), grid.axis_angles)) for n in dense.shape
@@ -277,9 +245,6 @@ def grid_sup(terms: Dict[Wavenumber, float], grid: EvaluationGrid) -> float:
     return best
 
 
-CSV_HEADER = "d,eps,seed,n_used,sup_error,ratio,g_norm_error,inferred_r,status,wall_ms,cone_violated"
-
-
 @dataclass(frozen=True)
 class ExperimentRow:
     d: int
@@ -295,38 +260,13 @@ class ExperimentRow:
     cone_violated: bool = False  # observed data falsified the fitted cone; voids the bound
 
     def to_csv(self) -> str:
-        return ",".join(
-            [
-                str(self.d),
-                repr(self.eps),
-                str(self.seed),
-                str(self.n_used),
-                repr(self.sup_error),
-                repr(self.ratio),
-                repr(self.g_norm_error),
-                repr(self.inferred_r),
-                self.status,
-                str(self.wall_ms),
-                str(self.cone_violated),
-            ]
-        )
+        return ",".join(map(str, astuple(self)))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "eps": self.eps,
-                "seed": self.seed,
-                "n_used": self.n_used,
-                "sup_error": self.sup_error,
-                "ratio": self.ratio,
-                "g_norm_error": self.g_norm_error,
-                "inferred_r": self.inferred_r,
-                "status": self.status,
-                "wall_ms": self.wall_ms,
-                "cone_violated": self.cone_violated,
-            }
-        )
+        return json.dumps(asdict(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 
 
 @dataclass(frozen=True)
@@ -393,38 +333,34 @@ def _run_cell(config: ExperimentConfig, cell: Tuple[int, float, int]) -> Experim
             tolerance=eps,
             budget_cap=config.budget_cap,
         )
-        residual = residual_terms(fn.support(), outcome.terms)
-        g_norm = math.fsum(abs(c) for c in residual.values())
+        residual = fn.support()
+        for k, _ in outcome.terms:
+            # the oracle read this very entry; beyond the box every coefficient is 0
+            if max(k) < residual.shape[0]:
+                residual[k] = 0.0
+        g_norm = math.fsum(np.abs(residual).ravel())
         grid = EvaluationGrid.for_dimension(d, config.axis_points, config.scatter_count)
         sup = grid_sup(residual, grid)
-        wall = int(round((time.perf_counter() - started) * 1000.0)) if config.timing else 0
-        return ExperimentRow(
-            d=d,
-            eps=eps,
-            seed=seed,
+        measured = dict(
             n_used=outcome.n_used,
             sup_error=sup,
             ratio=sup / eps,
             g_norm_error=g_norm,
             inferred_r=float(outcome.inferred["r"]),
             status=outcome.stopped_by,
-            wall_ms=wall,
             cone_violated=outcome.cone_violated,
         )
     except Exception as exc:  # noqa: BLE001 - a bad cell must not sink the run
-        wall = int(round((time.perf_counter() - started) * 1000.0)) if config.timing else 0
-        return ExperimentRow(
-            d=d,
-            eps=eps,
-            seed=seed,
+        measured = dict(
             n_used=0,
             sup_error=math.nan,
             ratio=math.nan,
             g_norm_error=math.nan,
             inferred_r=math.nan,
             status=f"failed:{type(exc).__name__}",
-            wall_ms=wall,
         )
+    wall = int(round((time.perf_counter() - started) * 1000.0)) if config.timing else 0
+    return ExperimentRow(d=d, eps=eps, seed=seed, wall_ms=wall, **measured)
 
 
 def run_experiment(config: ExperimentConfig) -> List[ExperimentRow]:

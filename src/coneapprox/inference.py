@@ -205,14 +205,15 @@ def infer_weights(
 
     Alternates a per-coordinate weight sweep (each coordinate minimizes its
     own axis term on the grid, ties to the smaller weight) with a rate scan
-    (ties to the larger rate) until neither moves; the objective never
-    increases along the way.  The returned point applies the outer tie rule
-    among all grid points whose objective stays within ``selection_window``
-    (multiplicative; default treats only exact ties, up to rounding, as
-    equivalent): largest rate first, then lexicographically smallest
-    coordinate weights, so the fitted decay is as fast as the data allows
-    and unconstrained coordinates settle at zero instead of drifting with
-    the data scale.  A window wider than the default trades a slightly
+    (ties to the larger rate) until a sweep keeps the weights and lowers the
+    objective by no more than rounding; the objective never increases
+    beyond rounding along the way.  The returned point applies the outer
+    tie rule among all grid points whose objective stays within
+    ``selection_window`` (multiplicative; default treats only exact ties, up
+    to rounding, as equivalent): largest rate first, then lexicographically
+    smallest coordinate weights, so the fitted decay is as fast as the data
+    allows and unconstrained coordinates settle at zero instead of drifting
+    with the data scale.  A window wider than the default trades a slightly
     larger fitted norm for a thinner fitted space; see
     ``approximate_with_inferred_weights`` for the resolution-based choice.
     """
@@ -260,13 +261,15 @@ def infer_weights(
                 v <= best * (1.0 + _TIE_WINDOW) and cand > new_rate
             ):
                 best, new_rate = min(best, v), cand
-        moved = (new_weights != weights) or (new_rate != rate)
+        # A sweep that keeps the weights and gains no more than the tie window
+        # has settled: tied rates would otherwise trade places every sweep.
+        settled = new_weights == weights and best >= current * (1.0 - _TIE_WINDOW)
         if best > current * (1.0 + _TIE_WINDOW):
             raise AssertionError("descent objective increased")
         weights, rate, current = new_weights, new_rate, best
         if trace is not None:
             trace.append(current)
-        if not moved or sweeps >= 64:
+        if settled or sweeps >= 64:
             break
 
     # Outer tie rule over the whole grid: among points within a relative

@@ -1,5 +1,6 @@
 """Random-series harness: generators, evaluation grids, rows, and reruns."""
 
+import itertools
 import json
 import math
 
@@ -7,16 +8,17 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
+import coneapprox.experiments as experiments
 from coneapprox import (
     CSV_HEADER,
     EvaluationGrid,
     ExperimentConfig,
     ExperimentRow,
     WavenumberStream,
+    approximate_with_inferred_weights,
     chebyshev_eval,
     grid_sup,
     make_random_function,
-    residual_terms,
     run_experiment,
     write_csv,
     write_jsonl,
@@ -31,16 +33,26 @@ def test_random_function_seed_zero_fixture():
     assert fn.permutation == (2, 1, 4, 3)
     assert fn.model.coordinate_weights == (0.25, 1.0, 0.0625, 0.1111111111111111)
     support = fn.support()
-    assert len(support) == 625  # five degrees per axis, zero smoothness beyond
-    assert all(abs(c) <= 1.0 for _, c in support)
+    assert support.shape == (5, 5, 5, 5)  # five degrees per axis, zero smoothness beyond
+    assert np.count_nonzero(support) == 625
+    assert np.all(np.abs(support) <= 1.0)
 
 
 def test_support_matches_the_weight_stream():
     # the support is read off the coefficient box; the stream is the reference
     for d, seed in [(1, 4), (2, 0), (3, 5), (4, 2)]:
         fn = make_random_function(d, seed)
-        via_stream = {k: fn.noise(k) * lam for k, lam in WavenumberStream(fn.model)}
-        assert dict(fn.support()) == {k: c for k, c in via_stream.items() if c != 0.0}
+        want = np.zeros((5,) * d)
+        for k, lam in WavenumberStream(fn.model):
+            want[k] = fn.noise(k) * lam
+        assert np.array_equal(fn.support(), want)
+
+
+def test_support_is_the_oracle_coefficient_bitwise():
+    fn = make_random_function(4, 0)
+    support = fn.support()
+    box = list(itertools.product(range(5), repeat=4))
+    assert [float(support[k]).hex() for k in box] == [fn.coefficient(k).hex() for k in box]
 
 
 def test_random_function_noise_properties():
@@ -151,23 +163,30 @@ def test_scatter_grid_matches_plain_radical_inverse():
 # --- grid sup -----------------------------------------------------------------------
 
 
+def _dense(terms, shape):
+    coefficients = np.zeros(shape)
+    for k, c in terms.items():
+        coefficients[k] = c
+    return coefficients
+
+
 def test_grid_sup_trivia():
-    assert grid_sup({}, EvaluationGrid.tensor(2, 5)) == 0.0
-    got = grid_sup({(0, 1): 0.5, (2, 3): -0.25}, EvaluationGrid.tensor(2, 5))
+    assert grid_sup(np.zeros((5, 5)), EvaluationGrid.tensor(2, 5)) == 0.0
+    got = grid_sup(_dense({(0, 1): 0.5, (2, 3): -0.25}, (3, 4)), EvaluationGrid.tensor(2, 5))
     assert got == pytest.approx(0.75, abs=1e-14)
 
 
 def test_grid_sup_matches_pointwise_evaluation():
     terms = {(0, 0): 0.3, (1, 2): -0.8, (3, 1): 0.45, (2, 0): 0.2}
     grid = EvaluationGrid.tensor(2, 9)
-    fast = grid_sup(terms, grid)
+    fast = grid_sup(_dense(terms, (4, 3)), grid)
     xs = np.cos(grid.axis_angles)
     slow = max(
         abs(chebyshev_eval(list(terms.items()), [x0, x1])) for x0 in xs for x1 in xs
     )
     assert fast == pytest.approx(slow, rel=1e-12)
     scatter = EvaluationGrid.scatter(2, 200)
-    fast2 = grid_sup(terms, scatter)
+    fast2 = grid_sup(_dense(terms, (4, 3)), scatter)
     slow2 = max(
         abs(chebyshev_eval(list(terms.items()), list(pt))) for pt in scatter.points
     )
@@ -177,22 +196,48 @@ def test_grid_sup_matches_pointwise_evaluation():
 def test_grid_sup_never_exceeds_true_sup():
     # a single basis term has sup exactly |c|, attained at the endpoints,
     # which every tensor grid contains
-    got = grid_sup({(4, 0): -0.6}, EvaluationGrid.tensor(2, 5))
+    got = grid_sup(_dense({(4, 0): -0.6}, (5, 1)), EvaluationGrid.tensor(2, 5))
     assert got == pytest.approx(0.6, abs=1e-14)
+
+
+def test_grid_sup_ignores_zero_padding():
+    # zero rows and columns past the nonzero extent are trimmed before the contraction
+    terms = {(0, 0): 0.3, (1, 2): -0.8, (3, 1): 0.45, (2, 0): 0.2}
+    for grid in (EvaluationGrid.tensor(2, 9), EvaluationGrid.scatter(2, 200)):
+        assert grid_sup(_dense(terms, (7, 5)), grid) == grid_sup(_dense(terms, (4, 3)), grid)
 
 
 # --- residual bookkeeping -----------------------------------------------------------
 
 
-def test_residual_terms_difference_and_cancellation():
-    exact = [((0, 0), 1.0), ((1, 0), 0.5), ((0, 1), -0.25)]
-    approx = [((0, 0), 1.0), ((1, 0), 0.25)]
-    got = residual_terms(exact, approx)
-    assert got == {(1, 0): 0.25, (0, 1): -0.25}
-    only_approx = residual_terms([], [((2, 2), 0.125)])
-    assert only_approx == {(2, 2): -0.125}
-    dup = residual_terms([((1,), 0.5), ((1,), 0.5)], [])
-    assert dup == {(1,): 1.0}
+def test_cell_residual_is_support_minus_sampled_terms(monkeypatch):
+    # a pinned d=7 cell: record what the pipeline sampled and what grid_sup was given
+    seen = {}
+
+    def pipeline(*args, **kwargs):
+        seen["outcome"] = approximate_with_inferred_weights(*args, **kwargs)
+        return seen["outcome"]
+
+    def sup(coefficients, grid):
+        seen["residual"] = coefficients.copy()
+        return grid_sup(coefficients, grid)
+
+    monkeypatch.setattr(experiments, "approximate_with_inferred_weights", pipeline)
+    monkeypatch.setattr(experiments, "grid_sup", sup)
+    (row,) = run_experiment(
+        ExperimentConfig(dimensions=(7,), tolerances=(1e-1,), seeds=(3,), scatter_count=4096)
+    )
+    fn = make_random_function(7, 3)
+    support = fn.support()
+    sampled = [k for k, _ in seen["outcome"].terms]
+    inside = [k for k in sampled if max(k) < 5]
+    assert [float(support[k]).hex() for k in inside] == [fn.coefficient(k).hex() for k in inside]
+    assert all(fn.coefficient(k) == 0.0 for k in sampled if max(k) >= 5)
+    residual = seen["residual"]
+    kept = set(map(tuple, np.argwhere(residual).tolist()))
+    assert kept == set(map(tuple, np.argwhere(support).tolist())) - set(sampled)
+    assert all(residual[k] == support[k] for k in kept)
+    assert row.g_norm_error == math.fsum(abs(support[k]) for k in kept)
 
 
 # --- rows and configuration ---------------------------------------------------------
@@ -270,6 +315,12 @@ def test_run_experiment_pinned_rows():
     assert rows[0].to_csv() == (
         "7,0.1,3,103,0.003460638736152751,0.034606387361527505,"
         "0.025385735915913633,4.5,ToleranceMet,0,False"
+    )
+    # the default 16,384-point scatter grid, as gate 07 runs it
+    rows = run_experiment(ExperimentConfig(dimensions=(7,), tolerances=(1e-2,), seeds=(3,)))
+    assert rows[0].to_csv() == (
+        "7,0.01,3,474,0.0001800844960710742,0.01800844960710742,"
+        "0.002286526102118449,4.5,ToleranceMet,0,True"
     )
 
 

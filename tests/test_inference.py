@@ -159,6 +159,18 @@ def test_infer_noiseless_recovery():
     assert got.iterations == 2
 
 
+def test_infer_stops_on_tied_rates():
+    # two rates' objectives differ by less than the tie window; the tie rule
+    # is not transitive, so the descent used to alternate them up to its cap
+    samples = {(0,): 0.0, (1,): -11.365325334262685, (2,): -1.0926769960920603e-06,
+               (3,): 0.0, (4,): 0.0}
+    got = infer_weights(samples, 1, CandidateSets.default(), SpaceConfig(2.0, 1.0))
+    assert got.coordinate_weights == (1.0,)
+    assert got.rate == 4.0
+    assert got.objective == 11.365325334276132
+    assert got.iterations == 2
+
+
 def test_infer_trace_non_increasing():
     rng = random.Random(7)
     cands = CandidateSets.default()
