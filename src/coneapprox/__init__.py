@@ -8,145 +8,25 @@ ball, a pilot-anchored cone, or a decay-tracking cone).  Companion tools
 bound the sampling cost a priori, test strong tractability of coordinate
 weight families, infer weights from probe samples when none are known, and
 reproduce randomized Chebyshev benchmarks.
+
+Every name a module lists in its ``__all__`` is re-exported here.
 """
 
-from .weights import (
-    AlgebraicDecay,
-    CoordinateRule,
-    TableDecay,
-    TractabilityReport,
-    WeightModel,
-    strong_tractability,
-    zeta,
-)
-from .enumeration import StreamExhausted, WavenumberStream, brute_force_order, write_prefix_csv
-from .spaces import (
-    CoefficientOracle,
-    DivergentNormError,
-    SpaceConfig,
-    holder_bound,
-    seq_norm,
-    solution_operator_norm,
-    tight_function,
-)
-from .approximation import (
-    BUDGET_EXHAUSTED,
-    DEFAULT_BUDGET_CAP,
-    TOLERANCE_MET,
-    ApproxOutcome,
-    PilotConeSpec,
-    RegularityConstants,
-    RegularityReport,
-    TrackingConeSpec,
-    approximate_on_ball,
-    approximate_on_pilot_cone,
-    approximate_on_tracking_cone,
-    ball_cost_bound,
-    block_ratio_norm,
-    block_weight_norm,
-    pilot_complexity_lower,
-    pilot_cost_bound,
-    pilot_error_bound,
-    pilot_necessary_check,
-    pilot_optimality_factor,
-    prefix_approximation,
-    tail_weight_norm,
-    tracking_complexity_lower,
-    tracking_cost_bound,
-    tracking_error_bound,
-    tracking_necessary_check,
-    tracking_optimality_factor,
-    tracking_pilot_inflation,
-    tracking_tail_norm,
-    verify_regularity,
-)
-from .inference import (
-    CandidateSets,
-    InferredWeights,
-    approximate_with_inferred_weights,
-    infer_weights,
-    probe_wavenumbers,
-    weight_fit_objective,
-)
-from .experiments import (
-    CSV_HEADER,
-    EvaluationGrid,
-    ExperimentConfig,
-    ExperimentRow,
-    RandomSeriesFunction,
-    chebyshev_eval,
-    grid_sup,
-    make_random_function,
-    run_experiment,
-    write_csv,
-    write_jsonl,
-)
+from . import approximation, enumeration, experiments, inference, spaces, weights
+from .weights import *
+from .enumeration import *
+from .spaces import *
+from .approximation import *
+from .inference import *
+from .experiments import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraicDecay",
-    "ApproxOutcome",
-    "BUDGET_EXHAUSTED",
-    "CandidateSets",
-    "CoefficientOracle",
-    "CoordinateRule",
-    "DEFAULT_BUDGET_CAP",
-    "DivergentNormError",
-    "EvaluationGrid",
-    "ExperimentConfig",
-    "CSV_HEADER",
-    "ExperimentRow",
-    "InferredWeights",
-    "PilotConeSpec",
-    "RandomSeriesFunction",
-    "RegularityConstants",
-    "RegularityReport",
-    "SpaceConfig",
-    "StreamExhausted",
-    "TOLERANCE_MET",
-    "TableDecay",
-    "TrackingConeSpec",
-    "TractabilityReport",
-    "WavenumberStream",
-    "WeightModel",
-    "approximate_on_ball",
-    "approximate_on_pilot_cone",
-    "approximate_on_tracking_cone",
-    "approximate_with_inferred_weights",
-    "ball_cost_bound",
-    "block_ratio_norm",
-    "block_weight_norm",
-    "brute_force_order",
-    "chebyshev_eval",
-    "grid_sup",
-    "holder_bound",
-    "infer_weights",
-    "make_random_function",
-    "pilot_complexity_lower",
-    "pilot_cost_bound",
-    "pilot_error_bound",
-    "pilot_necessary_check",
-    "pilot_optimality_factor",
-    "prefix_approximation",
-    "probe_wavenumbers",
-    "run_experiment",
-    "seq_norm",
-    "tail_weight_norm",
-    "solution_operator_norm",
-    "strong_tractability",
-    "tight_function",
-    "tracking_complexity_lower",
-    "tracking_cost_bound",
-    "tracking_error_bound",
-    "tracking_necessary_check",
-    "tracking_optimality_factor",
-    "tracking_pilot_inflation",
-    "tracking_tail_norm",
-    "verify_regularity",
-    "weight_fit_objective",
-    "write_csv",
-    "write_jsonl",
-    "write_prefix_csv",
-    "zeta",
+    *weights.__all__,
+    *enumeration.__all__,
+    *spaces.__all__,
+    *approximation.__all__,
+    *inference.__all__,
+    *experiments.__all__,
 ]

@@ -8,17 +8,23 @@ Subcommands::
     coneapprox diagnose   --config cfg.json [--out out.json]
     coneapprox enumerate  --config cfg.json [--out out.csv]
 
-Shared flags: ``--seed N`` overrides the seed of generator-backed coefficient
-sources (and pins the experiment to a single seed), ``--set key=value``
-(repeatable, dotted keys reach into nested objects, values parse as JSON with
-a plain-string fallback) patches the config after loading, and
-``--show-config`` prints the effective configuration as JSON and exits
-without running.  Standard output carries data only; complaints go to
-standard error.  Exit codes: 0 success / tolerance met, 1 usage or config
-error, 2 budget exhausted, 3 experiment finished with failed rows.
+Shared flags: ``--set key=value`` (repeatable, dotted keys reach into
+nested objects, values parse as JSON with a plain-string fallback) patches
+the config after loading.  ``--seed N`` and ``--jobs N`` are overrides applied
+right after the ``--set`` ones: for ``experiment``, ``--seed`` sets
+``seeds = [N]`` and ``--jobs`` sets ``jobs``; for ``approx`` and ``infer``,
+``--seed`` sets ``coefficients.generator.seed`` of a generator-backed
+coefficient source.  ``--show-config`` builds every object the run builds
+from the config, so it fails on any block the run rejects, then prints the
+config that will run, defaults filled in, as JSON and exits without running.
+Standard output carries data only; complaints go to standard error.  Exit
+codes: 0 success / tolerance met, 1 usage or config error, 2 budget
+exhausted, 3 experiment finished with failed rows.
 
-Config schemas by subcommand (JSON; ``"inf"`` is accepted for infinite
-exponents):
+Config schemas by subcommand (JSON; exponents are read by ``float``, so
+``"inf"`` or ``"Infinity"`` give an infinite one).  The ``space``,
+``candidates``, ``regularity`` and ``coordinate_rule`` blocks are passed to
+their types as keyword arguments and so reject unknown keys:
 
 * ``approx``: ``algorithm`` (``ball`` | ``pilot`` | ``tracking``), ``model``
   (weight-model object: ``d``, ``w``, ``s``, optional ``gamma``), ``space``
@@ -49,7 +55,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from typing import List, Optional
 
@@ -71,7 +76,14 @@ from .approximation import (
     tracking_optimality_factor,
 )
 from .enumeration import WavenumberStream, write_prefix_csv
-from .experiments import ExperimentConfig, run_experiment, write_csv, write_jsonl, CSV_HEADER
+from .experiments import (
+    CSV_HEADER,
+    ExperimentConfig,
+    make_random_function,
+    run_experiment,
+    write_csv,
+    write_jsonl,
+)
 from .inference import (
     CandidateSets,
     approximate_with_inferred_weights,
@@ -79,7 +91,7 @@ from .inference import (
     probe_wavenumbers,
 )
 from .spaces import CoefficientOracle, DivergentNormError, SpaceConfig, solution_operator_norm
-from .weights import CoordinateRule, WeightModel, _decay_from_dict, strong_tractability
+from .weights import CoordinateRule, WeightModel, strong_tractability
 
 __all__ = ["main"]
 
@@ -99,22 +111,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_exponent(value) -> float:
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        return float(value)
-    return float(value)
-
-
-def _space_from(data: dict) -> SpaceConfig:
-    return SpaceConfig(
-        ratio_exponent=_parse_exponent(data["ratio_exponent"]),
-        solution_exponent=_parse_exponent(data["solution_exponent"]),
-    )
-
-
-def _oracle_from(spec: dict, dimension: int, seed: Optional[int]) -> CoefficientOracle:
+def _oracle_from(spec: dict, dimension: int) -> CoefficientOracle:
     if "table" in spec:
         table = {}
         for key, value in spec["table"].items():
@@ -124,21 +121,23 @@ def _oracle_from(spec: dict, dimension: int, seed: Optional[int]) -> Coefficient
             table[k] = float(value)
         return CoefficientOracle.from_table(table, float(spec.get("default", 0.0)))
     if "generator" in spec:
-        from .experiments import make_random_function
-
-        gen_seed = seed if seed is not None else int(spec["generator"].get("seed", 0))
-        return make_random_function(dimension, gen_seed).oracle()
+        return make_random_function(dimension, int(spec["generator"].get("seed", 0))).oracle()
     raise _UsageError("coefficients need either a 'table' or a 'generator' entry")
 
 
-def _candidates_from(data: Optional[dict], default_cap: int = 4) -> CandidateSets:
-    if data is None:
-        return CandidateSets.default(axis_degree_cap=default_cap)
-    return CandidateSets(
-        coordinate_grid=tuple(data["coordinate_grid"]),
-        rate_grid=tuple(data["rate_grid"]),
-        axis_degree_cap=int(data.get("axis_degree_cap", default_cap)),
-    )
+def _candidates_from(config: dict) -> CandidateSets:
+    """Fit grids from the ``candidates`` block, written back as the fit reads them.
+
+    Without the block the fit uses the default grids; without an
+    ``axis_degree_cap``, the default grids' cap.
+    """
+    defaults = dataclasses.asdict(CandidateSets.default())
+    block = config.get("candidates")
+    if block is None:
+        block = defaults
+    candidates = CandidateSets(**{"axis_degree_cap": defaults["axis_degree_cap"], **block})
+    config["candidates"] = dataclasses.asdict(candidates)
+    return candidates
 
 
 def _set_by_path(config: dict, dotted: str, value) -> None:
@@ -161,6 +160,17 @@ def _apply_overrides(config: dict, pairs: List[str]) -> None:
         except json.JSONDecodeError:
             value = raw
         _set_by_path(config, key, value)
+
+
+def _apply_flags(config: dict, args) -> None:
+    """``--seed`` and ``--jobs`` as the overrides they stand for."""
+    if args.subcommand == "experiment":
+        if args.seed is not None:
+            config["seeds"] = [args.seed]
+        if args.jobs is not None:
+            config["jobs"] = args.jobs
+    elif args.seed is not None and "generator" in config.get("coefficients", {}):
+        _set_by_path(config, "coefficients.generator.seed", args.seed)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -193,62 +203,47 @@ def _show(config: dict) -> int:
 
 def _cmd_approx(config: dict, args) -> int:
     model = WeightModel.from_dict(config["model"])
-    space = _space_from(config["space"])
+    space = SpaceConfig(**config["space"])
     tolerance = float(config["tolerance"])
-    budget = int(config.get("budget_cap", DEFAULT_BUDGET_CAP))
+    budget = config["budget_cap"] = int(config.get("budget_cap", DEFAULT_BUDGET_CAP))
     algorithm = config["algorithm"]
-    effective = dict(config)
-    effective["budget_cap"] = budget
-    if args.show_config:
-        return _show(effective)
-    oracle = _oracle_from(config["coefficients"], model.dimension, args.seed)
-    stream = WavenumberStream(model)
+    oracle = _oracle_from(config["coefficients"], model.dimension)
+    # The ball rule takes the radius where the cone rules take their spec.
     if algorithm == "ball":
-        outcome = approximate_on_ball(
-            oracle, stream, space, model, float(config["radius"]), tolerance, budget
-        )
+        rule, cone = approximate_on_ball, float(config["radius"])
     elif algorithm == "pilot":
-        spec = PilotConeSpec.from_dict(config["pilot"])
-        outcome = approximate_on_pilot_cone(oracle, stream, space, model, spec, tolerance, budget)
+        rule, cone = approximate_on_pilot_cone, PilotConeSpec.from_dict(config["pilot"])
     elif algorithm == "tracking":
-        spec = TrackingConeSpec.from_dict(config["tracking"])
-        outcome = approximate_on_tracking_cone(oracle, stream, space, model, spec, tolerance, budget)
+        rule, cone = approximate_on_tracking_cone, TrackingConeSpec.from_dict(config["tracking"])
     else:
         raise _UsageError(f"unknown algorithm {algorithm!r}")
+    if args.show_config:
+        return _show(config)
+    outcome = rule(oracle, WavenumberStream(model), space, model, cone, tolerance, budget)
     _emit(outcome.to_json(), args.out)
     return EXIT_OK if outcome.stopped_by == TOLERANCE_MET else EXIT_BUDGET
 
 
 def _cmd_infer(config: dict, args) -> int:
     dimension = int(config["dimension"])
-    space = _space_from(config["space"])
-    candidates = _candidates_from(config.get("candidates"))
+    space = SpaceConfig(**config["space"])
+    candidates = _candidates_from(config)
     gamma = config.get("gamma")
-    effective = dict(config)
-    effective["candidates"] = {
-        "coordinate_grid": list(candidates.coordinate_grid),
-        "rate_grid": list(candidates.rate_grid),
-        "axis_degree_cap": candidates.axis_degree_cap,
-    }
+    oracle = _oracle_from(config["coefficients"], dimension)
+    pipeline = None
     if "tolerance" in config:
-        effective.setdefault("inflation", 1.1)
-        effective.setdefault("budget_cap", DEFAULT_BUDGET_CAP)
-    if args.show_config:
-        return _show(effective)
-    oracle = _oracle_from(config["coefficients"], dimension, args.seed)
-    if "tolerance" in config:
-        outcome = approximate_with_inferred_weights(
-            oracle,
-            dimension,
-            candidates,
-            space,
-            inflation=float(config.get("inflation", 1.1)),
+        pipeline = dict(
+            inflation=float(config.setdefault("inflation", 1.1)),
             tolerance=float(config["tolerance"]),
             interaction_weights=gamma,
             pilot_size=config.get("pilot_size"),
-            budget_cap=int(config.get("budget_cap", DEFAULT_BUDGET_CAP)),
+            budget_cap=int(config.setdefault("budget_cap", DEFAULT_BUDGET_CAP)),
             selection_window=config.get("selection_window"),
         )
+    if args.show_config:
+        return _show(config)
+    if pipeline is not None:
+        outcome = approximate_with_inferred_weights(oracle, dimension, candidates, space, **pipeline)
         _emit(outcome.to_json(), args.out)
         return EXIT_OK if outcome.stopped_by == TOLERANCE_MET else EXIT_BUDGET
     samples = {k: oracle.query(k) for k in probe_wavenumbers(dimension, candidates.axis_degree_cap)}
@@ -258,15 +253,7 @@ def _cmd_infer(config: dict, args) -> int:
 
 
 def _cmd_experiment(config: dict, args) -> int:
-    body = dict(config)
-    if args.seed is not None:
-        body["seeds"] = [args.seed]
-    if args.jobs is not None:
-        body["jobs"] = args.jobs
-    try:
-        cfg = ExperimentConfig.from_dict(body)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc)) from exc
+    cfg = ExperimentConfig.from_dict(config)
     if args.show_config:
         return _show(dataclasses.asdict(cfg))
     rows = run_experiment(cfg)
@@ -287,60 +274,54 @@ def _cmd_experiment(config: dict, args) -> int:
 
 def _cmd_diagnose(config: dict, args) -> int:
     model = WeightModel.from_dict(config["model"])
-    space = _space_from(config["space"])
-    radius = float(config.get("radius", 1.0))
+    space = SpaceConfig(**config["space"])
+    radius = config["radius"] = float(config.get("radius", 1.0))
     tolerance = config.get("tolerance")
-    effective = dict(config)
-    effective["radius"] = radius
+    pilot = tracking = constants = None
+    if tolerance is not None:
+        tolerance = float(tolerance)
+        if "pilot" in config:
+            pilot = PilotConeSpec.from_dict(config["pilot"])
+        if "tracking" in config:
+            block = config["tracking"]
+            tracking = TrackingConeSpec.from_dict(block)
+            if "regularity" in block:
+                constants = RegularityConstants(**block["regularity"])
+    if "tractability" in config:
+        tract = config["tractability"]
+        rule = CoordinateRule(**tract["coordinate_rule"])
+        decay = WeightModel.decay_from_dict(tract["decay"]) if "decay" in tract else model.decay
+        eta_grid = tract["eta_grid"]
     if args.show_config:
-        return _show(effective)
+        return _show(config)
     report: dict = {}
     try:
         report["operator_norm"] = solution_operator_norm(space, model)
     except DivergentNormError as exc:
         report["operator_norm"] = {"error": type(exc).__name__, "detail": str(exc)}
     if tolerance is not None:
-        tolerance = float(tolerance)
         report["ball"] = {"cost": ball_cost_bound(space, model, radius, tolerance)}
-        if "pilot" in config:
-            spec = PilotConeSpec.from_dict(config["pilot"])
+        if pilot is not None:
             report["pilot"] = {
-                "cost": pilot_cost_bound(space, model, spec, radius, tolerance),
-                "complexity_lower": pilot_complexity_lower(space, model, spec, radius, tolerance),
-                "optimality_factor": pilot_optimality_factor(space, spec.inflation),
+                "cost": pilot_cost_bound(space, model, pilot, radius, tolerance),
+                "complexity_lower": pilot_complexity_lower(space, model, pilot, radius, tolerance),
+                "optimality_factor": pilot_optimality_factor(space, pilot.inflation),
             }
-        if "tracking" in config:
-            block = config["tracking"]
-            spec = TrackingConeSpec.from_dict(block)
+        if tracking is not None:
             stream = WavenumberStream(model)
-            cost = tracking_cost_bound(space, model, stream, spec, radius, tolerance)
+            cost = tracking_cost_bound(space, model, stream, tracking, radius, tolerance)
             entry: dict = {
                 "cost": None if cost is None else {"block": cost[0], "samples": cost[1]}
             }
-            if "regularity" in block:
-                reg = block["regularity"]
-                constants = RegularityConstants(
-                    slack=float(reg["slack"]),
-                    lower_rate=float(reg["lower_rate"]),
-                    upper_rate=float(reg["upper_rate"]),
-                    weight_spread=float(reg["weight_spread"]),
-                    retained_fraction=float(reg["retained_fraction"]),
-                )
+            if constants is not None:
                 lower = tracking_complexity_lower(
-                    space, model, stream, spec, constants, radius, tolerance
+                    space, model, stream, tracking, constants, radius, tolerance
                 )
                 entry["complexity_lower"] = {"block": lower[0], "samples": lower[1]}
-                entry["optimality_factor"] = tracking_optimality_factor(space, spec, constants)
+                entry["optimality_factor"] = tracking_optimality_factor(space, tracking, constants)
             report["tracking"] = entry
     if "tractability" in config:
-        tract = config["tractability"]
-        rule = CoordinateRule(
-            kind=tract["coordinate_rule"]["kind"],
-            scale=float(tract["coordinate_rule"].get("scale", 1.0)),
-            rate=float(tract["coordinate_rule"].get("rate", 0.0)),
-        )
-        decay = _decay_from_dict(tract["decay"]) if "decay" in tract else model.decay
-        verdict = strong_tractability(rule, decay, tract["eta_grid"])
+        verdict = strong_tractability(rule, decay, eta_grid)
         report["tractability"] = {
             "strongly_tractable": verdict.strongly_tractable,
             "witness_eta": verdict.witness_eta,
@@ -353,15 +334,10 @@ def _cmd_diagnose(config: dict, args) -> int:
 
 def _cmd_enumerate(config: dict, args) -> int:
     model = WeightModel.from_dict(config["model"])
-    count = int(config.get("count", 100))
-    effective = dict(config)
-    effective["count"] = count
+    count = config["count"] = int(config.get("count", 100))
     if args.show_config:
-        return _show(effective)
-    if args.out is None:
-        write_prefix_csv(model, count, sys.stdout)
-    else:
-        write_prefix_csv(model, count, args.out)
+        return _show(config)
+    write_prefix_csv(model, count, sys.stdout if args.out is None else args.out)
     return EXIT_OK
 
 
@@ -409,6 +385,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return EXIT_USAGE
         config = _load_config(args.config)
         _apply_overrides(config, args.overrides)
+        _apply_flags(config, args)
         return _COMMANDS[args.subcommand](config, args)
     except _UsageError as exc:
         sys.stderr.write(f"coneapprox: error: {exc}\n")

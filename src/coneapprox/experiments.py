@@ -299,11 +299,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
-            "dimensions", "tolerances", "seeds", "inflation", "axis_degree_cap",
-            "budget_cap", "axis_points", "scatter_count", "timing", "jobs",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
         body = dict(data)

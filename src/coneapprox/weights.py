@@ -183,15 +183,6 @@ class TableDecay:
         return {"kind": "table", "values": list(self.values), "tail_ratio": self.tail_ratio}
 
 
-def _decay_from_dict(data: dict):
-    kind = data.get("kind")
-    if kind == "algebraic":
-        return AlgebraicDecay(rate=float(data["r"]))
-    if kind == "table":
-        return TableDecay(values=tuple(data["values"]), tail_ratio=float(data.get("tail_ratio", 0.0)))
-    raise ValueError(f"unknown decay kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class WeightModel:
     """Weight assignment over ``N_0^d`` wavenumbers.
@@ -303,9 +294,19 @@ class WeightModel:
         return cls(
             dimension=d,
             coordinate_weights=tuple(data["w"]),
-            decay=_decay_from_dict(data["s"]),
+            decay=cls.decay_from_dict(data["s"]),
             interaction_weights=tuple(gamma) if gamma else (),
         )
+
+    @staticmethod
+    def decay_from_dict(data: dict):
+        """Decay from an ``s`` block, the inverse of the decays' ``to_dict``."""
+        kind = data.get("kind")
+        if kind == "algebraic":
+            return AlgebraicDecay(rate=float(data["r"]))
+        if kind == "table":
+            return TableDecay(values=tuple(data["values"]), tail_ratio=float(data.get("tail_ratio", 0.0)))
+        raise ValueError(f"unknown decay kind {kind!r}")
 
 
 @dataclass(frozen=True)

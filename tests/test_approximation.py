@@ -402,7 +402,9 @@ def test_pilot_guarantee_on_cone_members(rng):
             spec, eps,
         )
         if out.stopped_by == TOLERANCE_MET:
-            assert exact_residual(out, table, cfg) <= eps
+            residual = exact_residual(out, table, cfg)
+            assert residual <= eps
+            assert residual <= out.final_error_bound
             assert out.final_error_bound <= eps
         assert not out.cone_violated
 
@@ -738,7 +740,9 @@ def test_tracking_guarantee_and_cost_bound(rng):
         )
         if out.stopped_by != TOLERANCE_MET:
             continue
-        assert exact_residual(out, table, cfg) <= eps
+        residual = exact_residual(out, table, cfg)
+        assert residual <= eps
+        assert residual <= out.final_error_bound
         radius = seq_norm(
             [abs(v) / model.weight(k) for k, v in table.items()], cfg.ratio_exponent
         )

@@ -40,6 +40,25 @@ def _approx_cfg(**kw):
     return cfg
 
 
+def _infer_cfg(**kw):
+    cfg = {
+        "dimension": 2,
+        "space": {"ratio_exponent": "inf", "solution_exponent": 1.0},
+        "coefficients": {"generator": {"seed": 3}},
+    }
+    cfg.update(kw)
+    return cfg
+
+
+def _diagnose_tracking_cfg(**regularity):
+    return {
+        "model": {"d": 2, "w": [1.0, 0.5], "s": {"kind": "algebraic", "r": 2.0}},
+        "space": {"ratio_exponent": 2.0, "solution_exponent": 1.0},
+        "tolerance": 1e-2,
+        "tracking": {"start": 2, "inflation": 2.0, "decay": 0.5, "regularity": regularity},
+    }
+
+
 # --- approx -------------------------------------------------------------------------
 
 
@@ -113,11 +132,7 @@ def test_approx_unknown_algorithm(run):
 
 
 def test_infer_fit_only_generator(run):
-    cfg = {
-        "dimension": 2,
-        "space": {"ratio_exponent": "inf", "solution_exponent": 1.0},
-        "coefficients": {"generator": {"seed": 3}},
-    }
+    cfg = _infer_cfg()
     code, out, _ = run(["infer"], cfg)
     assert code == 0
     fitted = json.loads(out)
@@ -132,13 +147,7 @@ def test_infer_fit_only_generator(run):
 
 
 def test_infer_full_pipeline_with_tolerance(run):
-    cfg = {
-        "dimension": 2,
-        "space": {"ratio_exponent": "inf", "solution_exponent": 1.0},
-        "coefficients": {"generator": {"seed": 3}},
-        "tolerance": 1e-2,
-        "inflation": 1.1,
-    }
+    cfg = _infer_cfg(tolerance=1e-2, inflation=1.1)
     code, out, _ = run(["infer"], cfg)
     assert code == 0
     outcome = json.loads(out)
@@ -148,11 +157,7 @@ def test_infer_full_pipeline_with_tolerance(run):
 
 
 def test_infer_seed_flag_overrides_generator(run):
-    cfg = {
-        "dimension": 2,
-        "space": {"ratio_exponent": "inf", "solution_exponent": 1.0},
-        "coefficients": {"generator": {"seed": 3}},
-    }
+    cfg = _infer_cfg()
     base = run(["infer"], cfg)
     other = run(["infer", "--seed", "4"], cfg)
     assert base[0] == other[0] == 0
@@ -337,6 +342,67 @@ def test_set_string_fallback(run):
     shown = json.loads(out)
     assert shown["algorithm"] == "ball"
     assert shown["radius"] == 2
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("approx", _approx_cfg(coefficients={"generator": {"seed": 7}})),
+    ("infer", _infer_cfg(coefficients={"generator": {"seed": 7}})),
+])
+def test_show_config_shows_the_seed_flag(run, command, cfg):
+    code, out, _ = run([command, "--seed", "3", "--show-config"], cfg)
+    assert code == 0
+    assert json.loads(out)["coefficients"] == {"generator": {"seed": 3}}
+
+
+def test_infer_show_config_fills_defaults(run):
+    cfg = _infer_cfg(
+        tolerance=1e-2, candidates={"coordinate_grid": [1, 0.5, 0], "rate_grid": [3, 2]}
+    )
+    code, out, _ = run(["infer", "--show-config"], cfg)
+    assert code == 0
+    shown = json.loads(out)
+    assert shown["candidates"] == {
+        "coordinate_grid": [0.0, 0.5, 1.0], "rate_grid": [2.0, 3.0], "axis_degree_cap": 4,
+    }
+    assert shown["inflation"] == 1.1
+    assert shown["budget_cap"] == 1000000
+
+
+def test_show_config_rejects_what_the_run_rejects(run):
+    cfg = _approx_cfg(algorithm="tracking", tracking={"start": 2, "inflation": 2.0, "decay": 0.5})
+    argv = ["approx", "--set", "tracking.kind=arithmetic"]
+    assert run(argv, cfg)[0] == 1
+    code, out, err = run(argv + ["--show-config"], cfg)
+    assert code == 1
+    assert out == ""
+    assert "step >= 1" in err
+
+
+def test_diagnose_regularity_block(run):
+    constants = {"slack": 1.5, "lower_rate": 0.2, "upper_rate": 0.6, "weight_spread": 2.0,
+                 "retained_fraction": 0.5}
+    code, out, _ = run(["diagnose"], _diagnose_tracking_cfg(**constants))
+    assert code == 0
+    assert set(json.loads(out)["tracking"]) == {"cost", "complexity_lower", "optimality_factor"}
+    del constants["retained_fraction"]
+    code, out, err = run(["diagnose", "--show-config"], _diagnose_tracking_cfg(**constants))
+    assert code == 1
+    assert out == ""
+    assert "retained_fraction" in err
+
+
+@pytest.mark.parametrize("value", ["Infinity", '"INFINITY"'])
+def test_set_infinite_ratio_exponent(run, value):
+    code, out, _ = run(["approx", "--set", f"space.ratio_exponent={value}"], _approx_cfg())
+    assert code == 0
+    assert json.loads(out)["stopped_by"] == "ToleranceMet"
+
+
+def test_experiment_jobs_flag_shown(run):
+    cfg = {"dimensions": [2], "tolerances": [0.1], "seeds": 1}
+    code, out, _ = run(["experiment", "--jobs", "2", "--show-config"], cfg)
+    assert code == 0
+    assert json.loads(out)["jobs"] == 2
 
 
 def test_usage_errors_exit_one(run, tmp_path):
