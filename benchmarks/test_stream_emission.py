@@ -10,7 +10,10 @@ timing builds fresh streams, so it covers stream construction too:
 * ``test_emission_rate``: the first 10**5 entries of one stream at d = 1, 3
   and 7, reported also as entries per second (``extra_info``);
 * ``test_small_streams``: 300 fresh streams asked for 32 entries each, the
-  size of the streams the benchmark workloads build their instances from.
+  size of the streams the benchmark workloads build their instances from;
+* ``test_prefix_reads``: repeated ``prefix(n)`` or ``rows(n)`` of 10**4
+  entries on a warm stream at d = 3, which emits nothing: ``prefix`` builds
+  its tuples from the arrays on every call, ``rows`` returns a view.
 """
 
 import random
@@ -50,3 +53,10 @@ def test_small_streams(benchmark):
         return [len(WavenumberStream(model).prefix(32)) for model in models]
 
     assert benchmark.pedantic(run, rounds=20) == [32] * len(models)
+
+
+@pytest.mark.parametrize("read", ("prefix", "rows"))
+def test_prefix_reads(benchmark, read):
+    stream = WavenumberStream(WeightModel(3, (1.0, 0.9, 0.81), AlgebraicDecay(3.0)))
+    stream.weights(ENTRIES // 10)
+    assert len(benchmark(getattr(stream, read), ENTRIES // 10)) == ENTRIES // 10

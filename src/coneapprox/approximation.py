@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .enumeration import StreamExhausted, WavenumberStream
+from .enumeration import WavenumberStream
 from .spaces import CoefficientOracle, DivergentNormError, SpaceConfig, seq_norm
 from .weights import WeightModel
 
@@ -80,6 +80,7 @@ _TIGHT = 2.0 ** -26
 _WINDOW_CAP = 8192  # longest window summed term by term
 _NORMAL = sys.float_info.min / _EPS  # smallest scaled sum kept at full precision
 _TIE_SLACK = 1.0 + 1e-12
+_BLOCK_CAP = 64  # most blocks the tracking cost bound and complexity floor examine
 
 
 @dataclass(frozen=True)
@@ -431,8 +432,14 @@ def tail_weight_norm(
     return _TailNorms(config, model, stream).tail(n)
 
 
+def _pairs(stream: WavenumberStream, lo: int, hi: int):
+    """``(wavenumber, weight)`` at stream positions ``lo..hi-1``, read from the stream's views."""
+    rows = stream.rows(hi)  # shorter at exhaustion
+    return zip(zip(*rows[lo:].T.tolist()), stream.weights(len(rows))[lo:].tolist())
+
+
 def _sample_prefix(oracle: CoefficientOracle, stream: WavenumberStream, n: int) -> tuple:
-    return tuple((k, oracle.query(k)) for k, _ in stream.prefix(n))
+    return tuple((k, oracle.query(k)) for k, _ in _pairs(stream, 0, n))
 
 
 def prefix_approximation(
@@ -583,7 +590,7 @@ def approximate_on_pilot_cone(
         raise ValueError("pilot does not fit inside the budget cap")
     p = config.ratio_exponent
     tails = _TailNorms(config, model, stream)
-    pilot_entries = stream.prefix(spec.pilot_size)
+    terms: List[tuple] = []
     violated = False
 
     sup_ratio = 0.0
@@ -592,15 +599,18 @@ def approximate_on_pilot_cone(
     def absorb(entries) -> None:
         nonlocal sup_ratio
         for k, lam in entries:
-            ratio = abs(oracle.query(k)) / lam
+            coef = oracle.query(k)
+            terms.append((k, coef))
+            ratio = abs(coef) / lam
             if math.isinf(p):
                 if ratio > sup_ratio:
                     sup_ratio = ratio
             else:
                 power_acc.add(ratio ** p)
 
-    absorb(pilot_entries)
-    n = len(pilot_entries)  # may fall short of pilot_size on a finite stream
+    absorb(_pairs(stream, 0, spec.pilot_size))
+    n = len(terms)  # may fall short of pilot_size on a finite stream
+    pending = iter(())  # positions n.. that the stream has served
     if math.isinf(p):
         pilot_norm = sup_ratio
     else:
@@ -617,19 +627,21 @@ def approximate_on_pilot_cone(
         if n >= budget_cap:
             stopped = BUDGET_EXHAUSTED
             break
-        try:
-            nxt = stream.entry(n)
-        except StreamExhausted:
-            # nothing left to sample; the tail norm is zero from here on
-            bound = 0.0
-            stopped = TOLERANCE_MET
-            break
+        nxt = next(pending, None)
+        if nxt is None:
+            # take position n and every later one served so far (the tail norms read ahead)
+            pending = _pairs(stream, n, max(n + 1, stream.emitted_count))
+            nxt = next(pending, None)
+            if nxt is None:
+                # nothing left to sample; the tail norm is zero from here on
+                bound = 0.0
+                stopped = TOLERANCE_MET
+                break
         absorb([nxt])
         n += 1
 
-    terms = _sample_prefix(oracle, stream, n)
     return ApproxOutcome(
-        terms=terms,
+        terms=tuple(terms),
         n_used=oracle.cost,
         final_error_bound=bound,
         stopped_by=stopped,
@@ -698,8 +710,7 @@ def pilot_necessary_check(
     """Observable cone test: partial ratio norm within the inflated pilot norm."""
     if n < spec.pilot_size:
         raise ValueError("check needs at least the pilot segment")
-    entries = stream.prefix(n)
-    ratios = [abs(oracle.query(k)) / lam for k, lam in entries]
+    ratios = [abs(oracle.query(k)) / lam for k, lam in _pairs(stream, 0, n)]
     p = config.ratio_exponent
     pilot_norm = seq_norm(ratios[: spec.pilot_size], p)
     partial_norm = seq_norm(ratios, p)
@@ -715,10 +726,8 @@ def block_ratio_norm(
 ) -> float:
     """Ratio norm of block ``j`` (coefficients over weights, block entries only)."""
     lo, hi = spec.block_range(j)
-    entries = stream.prefix(hi)[lo:]
-    return seq_norm(
-        [abs(oracle.query(k)) / lam for k, lam in entries], config.ratio_exponent
-    )
+    ratios = [abs(oracle.query(k)) / lam for k, lam in _pairs(stream, lo, hi)]
+    return seq_norm(ratios, config.ratio_exponent)
 
 
 def block_weight_norm(
@@ -873,7 +882,6 @@ def tracking_cost_bound(
     spec: TrackingConeSpec,
     radius: float,
     tolerance: float,
-    block_cap: int = 64,
 ) -> Optional[Tuple[int, int]]:
     """Worst-case tracking cost over cone members of norm <= ``radius``.
 
@@ -888,7 +896,7 @@ def tracking_cost_bound(
     tails = _TailNorms(config, model, stream)
     base = b * tolerance / (radius * a * a)
     b_pow = 1.0
-    for j in range(1, block_cap + 1):
+    for j in range(1, _BLOCK_CAP + 1):
         b_pow *= b
         lhs = b_pow * tracking_tail_norm(config, model, stream, spec, j, _tails=tails)
         rhs = base * _one_minus_decay_root(config.ratio_exponent, b, j)
@@ -914,7 +922,6 @@ def tracking_complexity_lower(
     constants: RegularityConstants,
     radius: float,
     tolerance: float,
-    block_cap: int = 64,
 ) -> Tuple[int, int]:
     """Information-cost floor on the tracking cone intersected with the ball.
 
@@ -936,7 +943,7 @@ def tracking_complexity_lower(
     )
     best = 0
     b_pow = b
-    for j in range(1, block_cap + 1):
+    for j in range(1, _BLOCK_CAP + 1):
         b_pow *= b  # decay**(j+1)
         if b_pow * tails.block_norm(spec, j + 1) > threshold:
             best = j

@@ -240,6 +240,9 @@ def _cmd_infer(config: dict, args) -> int:
             budget_cap=int(config.setdefault("budget_cap", DEFAULT_BUDGET_CAP)),
             selection_window=config.get("selection_window"),
         )
+        size = pipeline["pilot_size"]  # the pipeline's pilot segment defaults to the probes
+        probes = len(probe_wavenumbers(dimension, candidates.axis_degree_cap))
+        PilotConeSpec(probes if size is None else size, pipeline["inflation"])
     if args.show_config:
         return _show(config)
     if pipeline is not None:
@@ -291,7 +294,7 @@ def _cmd_diagnose(config: dict, args) -> int:
         tract = config["tractability"]
         rule = CoordinateRule(**tract["coordinate_rule"])
         decay = WeightModel.decay_from_dict(tract["decay"]) if "decay" in tract else model.decay
-        eta_grid = tract["eta_grid"]
+        verdict = strong_tractability(rule, decay, tract["eta_grid"])
     if args.show_config:
         return _show(config)
     report: dict = {}
@@ -321,7 +324,6 @@ def _cmd_diagnose(config: dict, args) -> int:
                 entry["optimality_factor"] = tracking_optimality_factor(space, tracking, constants)
             report["tracking"] = entry
     if "tractability" in config:
-        verdict = strong_tractability(rule, decay, eta_grid)
         report["tractability"] = {
             "strongly_tractable": verdict.strongly_tractable,
             "witness_eta": verdict.witness_eta,

@@ -50,7 +50,6 @@ _FIRST_RANK = 256  # most single-axis factors per axis a first threshold is rank
 _NORMAL = 2.0 ** -900  # times the squared weight ceiling: below it rounding is checked exactly
 _ALPHA = 0.5  # assumed log-log slope of the weight count before two bands measure it
 _ALPHA_MIN, _ALPHA_MAX = 0.05, 8.0  # the slopes an extrapolation may use
-_BUILD_CHUNK = 2 ** 14  # rows turned into tuples at a time
 _COLLAPSE = 2.0 ** -30  # a threshold bracket this narrow (relative) holds a tie: take it whole
 
 
@@ -82,15 +81,15 @@ class WavenumberStream:
     """Monotone wavenumber stream over one weight model.
 
     Emits ``(wavenumber, weight)`` pairs with non-increasing weights and
-    lexicographic tie order.  Emissions are cached, so a stream doubles as a
-    replay buffer: ``entry(i)`` and ``prefix(n)`` are stable under repeated
-    calls and two streams over equal models emit identical sequences.  The
-    enumerated weights sit in one growable float64 array, which
-    ``weights(n)`` exposes as a read-only view, and the wavenumbers in an
-    int32 array; ``(wavenumber, weight)`` tuples are built only when
-    ``entry`` or ``prefix`` asks for them.  Enumeration runs ahead of the
-    requests by whole bands; ``emitted_count`` counts the entries served,
-    the most that any one request has asked for.
+    lexicographic tie order.  The enumerated wavenumbers sit in one growable
+    int32 array and their weights in one float64 array, the stream's only
+    buffer: ``rows(n)`` and ``weights(n)`` expose their first ``n`` entries
+    as read-only views, so a stream doubles as a replay buffer and two
+    streams over equal models emit identical sequences.  ``entry(i)``,
+    ``prefix(n)`` and iteration build ``(wavenumber, weight)`` tuples from
+    the arrays on each call.  Enumeration runs ahead of the requests by
+    whole bands; ``emitted_count`` counts the entries served, the most that
+    any one request has asked for.
     """
 
     def __init__(self, model: WeightModel):
@@ -111,9 +110,8 @@ class WavenumberStream:
         self._count = 0  # entries enumerated
         self._served = 0  # entries served
         self._exhausted = False
-        self._weights = self._readonly = np.empty(0)  # enumerated weights; a read-only view
-        self._rows = np.empty((0, d), np.int32)  # enumerated wavenumbers
-        self._entries: List[Entry] = []  # tuples built so far
+        self._weights = self._weights_view = np.empty(0)  # enumerated weights; a read-only view
+        self._rows = self._rows_view = np.empty((0, d), np.int32)  # enumerated wavenumbers; a view
 
     @property
     def emitted_count(self) -> int:
@@ -126,38 +124,31 @@ class WavenumberStream:
                 raise IndexError("stream entries are indexed from 0")
             if self._fill(index + 1) <= index:
                 raise StreamExhausted("weight stream exhausted: remaining weights are all zero")
-        if index >= len(self._entries):
-            self._build(min(self._count, max(index + 1, 2 * len(self._entries), _MIN_BAND)))
-        return self._entries[index]
+        return tuple(self._rows[index].tolist()), float(self._weights[index])
 
     def prefix(self, count: int) -> List[Entry]:
         """First ``count`` emissions; shorter if the stream exhausts first."""
         count = self._fill(count)
-        if count > len(self._entries):
-            self._build(count)
-        return self._entries[:count]
+        # zipping the columns makes each wavenumber tuple without a list per row
+        return list(zip(zip(*self._rows[:count].T.tolist()), self._weights[:count].tolist()))
+
+    def rows(self, count: int) -> np.ndarray:
+        """Read-only int32 view of the first ``count`` emitted wavenumbers, like ``prefix``."""
+        if count > self._served:
+            count = self._fill(count)  # may reallocate the buffer, so fill before slicing
+        return self._rows_view[:count]
 
     def weights(self, count: int) -> np.ndarray:
         """Read-only view of the first ``count`` emitted weights, like ``prefix``."""
         if count > self._served:
             count = self._fill(count)  # may reallocate the buffer, so fill before slicing
-        return self._readonly[:count]
+        return self._weights_view[:count]
 
     def __iter__(self) -> Iterator[Entry]:
         index = 0
-        while True:
-            try:
-                yield self.entry(index)
-            except StreamExhausted:
-                return
+        while len(self.weights(index + 1)) > index:
+            yield self.entry(index)
             index += 1
-
-    def _build(self, count: int) -> None:
-        for start in range(len(self._entries), count, _BUILD_CHUNK):  # bounds the temporary lists
-            stop = min(start + _BUILD_CHUNK, count)
-            self._entries.extend(
-                zip(map(tuple, self._rows[start:stop].tolist()), self._weights[start:stop].tolist())
-            )
 
     def _fill(self, count: int) -> int:
         """Serve up to ``count`` entries; returns how many exist (fewer at exhaustion)."""
@@ -340,8 +331,8 @@ class WavenumberStream:
             grown = np.empty((size, self.model.dimension), np.int32)
             grown[:count] = self._rows[:count]
             self._weights, self._rows = weights, grown
-            self._readonly = weights.view()
-            self._readonly.flags.writeable = False
+            self._weights_view, self._rows_view = weights.view(), grown.view()
+            self._weights_view.flags.writeable = self._rows_view.flags.writeable = False
         self._weights[count : count + new] = lam
         self._rows[count : count + new] = rows
         self._count = count + new

@@ -318,7 +318,7 @@ def _run_cell(config: ExperimentConfig, cell: Tuple[int, float, int]) -> Experim
         space = SpaceConfig(math.inf, 1.0)
         # Candidate rates are trimmed to spaces with finite tail norms; a
         # rate at or below 1/tail_exponent could never certify anything.
-        full = CandidateSets.default(weight_cap=1.0, axis_degree_cap=config.axis_degree_cap)
+        full = CandidateSets.default(axis_degree_cap=config.axis_degree_cap)
         rates = tuple(r for r in full.rate_grid if r * space.tail_exponent > 1.0)
         outcome = approximate_with_inferred_weights(
             oracle,

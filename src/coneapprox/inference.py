@@ -68,11 +68,9 @@ class CandidateSets:
         object.__setattr__(self, "rate_grid", r)
 
     @classmethod
-    def default(
-        cls, weight_cap: float = 1.0, halvings: int = 9, axis_degree_cap: int = 4
-    ) -> "CandidateSets":
-        """Zero plus ``halvings + 1`` halved steps down from the cap; rates 0.5..6."""
-        grid = [0.0] + [weight_cap * 2.0 ** -m for m in range(halvings, -1, -1)]
+    def default(cls, axis_degree_cap: int = 4) -> "CandidateSets":
+        """Zero plus ten halved steps down from the cap 1 (``2**-9 .. 1``); rates 0.5..6."""
+        grid = [0.0] + [2.0 ** -m for m in range(9, -1, -1)]
         rates = [0.5 * i for i in range(1, 13)]
         return cls(tuple(grid), tuple(rates), axis_degree_cap)
 

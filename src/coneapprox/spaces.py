@@ -125,10 +125,6 @@ class CoefficientOracle:
         self._memo[k] = value
         return value
 
-    def samples(self) -> Dict[Wavenumber, float]:
-        """Copy of everything queried so far."""
-        return dict(self._memo)
-
 
 def holder_bound(input_norm: float, weight_tail_norm: float) -> float:
     """Solution-norm bound ``input_norm * weight_tail_norm``.
@@ -196,7 +192,7 @@ def solution_operator_norm(config: SpaceConfig, model: WeightModel) -> float:
     """
     t = config.tail_exponent
     if math.isinf(t):
-        return WavenumberStream(model).entry(0)[1]
+        return float(WavenumberStream(model).weights(1)[0])
     power_sum = model.weight_power_sum(t)
     if math.isinf(power_sum):
         raise DivergentNormError(

@@ -345,6 +345,26 @@ def test_pilot_zero_function():
     assert not out.cone_violated
 
 
+@pytest.mark.parametrize("pair", [(2.0, 1.0), (math.inf, 1.0), (2.0, 2.0)])
+@pytest.mark.parametrize("pilot_size", [20, 2])  # past the 16 live entries, and inside them
+def test_pilot_on_a_stream_that_runs_out(pair, pilot_size):
+    # degrees 0..3 on both axes are live, so the stream ends after 16 entries;
+    # a tolerance below every positive bound makes the rule sample all of them
+    model = WeightModel(2, (1.0, 0.5), TableDecay((1.0, 0.5, 0.25), 0.0), (1.0, 0.8, 0.6))
+    table = {k: (-1.0) ** i * lam for i, (k, lam) in enumerate(WavenumberStream(model).prefix(100))}
+    cfg = SpaceConfig(*pair)
+    out = approximate_on_pilot_cone(
+        CoefficientOracle.from_table(table), WavenumberStream(model), cfg, model,
+        PilotConeSpec(pilot_size, 4.0), 1e-300,
+    )
+    assert out.stopped_by == TOLERANCE_MET
+    assert out.final_error_bound == 0.0
+    assert out.n_used == len(table) == 16
+    expected = prefix_approximation(CoefficientOracle.from_table(table), WavenumberStream(model), 100)
+    assert out.terms == expected.terms
+    assert not out.cone_violated
+
+
 def test_pilot_worked_instance_matches_direct_loop():
     model = _model_2d()
     cfg = SpaceConfig(2.0, 2.0)

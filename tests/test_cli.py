@@ -369,13 +369,27 @@ def test_infer_show_config_fills_defaults(run):
 
 
 def test_show_config_rejects_what_the_run_rejects(run):
-    cfg = _approx_cfg(algorithm="tracking", tracking={"start": 2, "inflation": 2.0, "decay": 0.5})
-    argv = ["approx", "--set", "tracking.kind=arithmetic"]
-    assert run(argv, cfg)[0] == 1
-    code, out, err = run(argv + ["--show-config"], cfg)
-    assert code == 1
-    assert out == ""
-    assert "step >= 1" in err
+    tractability = {"coordinate_rule": {"kind": "algebraic", "rate": 2.0}, "eta_grid": [0.5, 0.0]}
+    cases = (
+        (
+            ["approx", "--set", "tracking.kind=arithmetic"],
+            _approx_cfg(algorithm="tracking", tracking={"start": 2, "inflation": 2.0, "decay": 0.5}),
+            "step >= 1",
+        ),
+        (["infer"], _infer_cfg(tolerance=1e-2, inflation=1.0), "inflation must exceed 1"),
+        (
+            ["diagnose"],
+            {"model": _model_1d(), "space": {"ratio_exponent": 2.0, "solution_exponent": 1.0},
+             "tractability": tractability},
+            "witness exponents must be positive",
+        ),
+    )
+    for argv, cfg, complaint in cases:
+        assert run(argv, cfg)[0] == 1
+        code, out, err = run(argv + ["--show-config"], cfg)
+        assert code == 1
+        assert out == ""
+        assert complaint in err
 
 
 def test_diagnose_regularity_block(run):

@@ -4,6 +4,8 @@ import io
 import itertools
 import random
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,17 +171,26 @@ def test_exhaustion_on_finite_support():
 def test_weight_buffer_matches_entries(rng):
     model = random_model(rng)
     stream = WavenumberStream(model)
-    weights = stream.weights(300)
+    weights, rows = stream.weights(300), stream.rows(300)
     assert weights.tolist() == [lam for _, lam in stream.prefix(300)]
+    assert rows.dtype == np.int32
+    assert [tuple(k) for k in rows.tolist()] == [k for k, _ in stream.prefix(300)]
     with pytest.raises(ValueError):
         weights[0] = 0.0  # read-only view
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
     finite = WavenumberStream(
         WeightModel(dimension=2, coordinate_weights=(1.0, 0.0), decay=TableDecay((1.0, 0.5), 0.0))
     )
     assert finite.weights(10).tolist() == [1.0, 1.0, 0.5]  # shorter at exhaustion
     grown = WavenumberStream(_model_2d())
     assert len(grown.weights(64)) == 64
-    assert len(grown.weights(65)) == 65  # across a reallocation of the buffer
+    before = grown.rows(64)
+    assert len(grown.weights(65)) == 65
+    after = grown.rows(5000)  # far past the first bands: the buffer is reallocated
+    assert after.shape == (5000, 2) and not after.flags.writeable
+    assert not np.shares_memory(before, after)
+    assert (after[:64] == before).all()  # a view from before it still reads the same rows
 
 
 def test_zero_weights_never_emitted(rng):
@@ -284,15 +295,18 @@ def test_interleaved_requests_across_bands(rng):
         served = 0
         for step in range(150):
             n = min(rng.randrange(20 * step + 2), len(whole))
-            kind = step % 3
+            kind = step % 4
             if kind == 0 and n < len(whole):
                 assert stream.entry(n) == whole[n]
                 served = max(served, n + 1)
             elif kind == 1:
                 assert stream.prefix(n) == whole[:n]
                 served = max(served, n)
-            else:
+            elif kind == 2:
                 assert stream.weights(n).tolist() == [lam for _, lam in whole[:n]]
+                served = max(served, n)
+            else:
+                assert [tuple(k) for k in stream.rows(n).tolist()] == [k for k, _ in whole[:n]]
                 served = max(served, n)
             assert stream.emitted_count == served
 
