@@ -538,7 +538,7 @@ def _pilot_bracket_root(
     cap = (inflation * pilot_norm) ** p
     raw = cap - partial_norm ** p
     if raw < 0.0:
-        return 0.0, raw < -_CLAMP * max(cap, 1.0)
+        return 0.0, raw < -_CLAMP * cap
     return raw ** (1.0 / p), False
 
 
@@ -750,11 +750,14 @@ def tracking_tail_norm(
 
     Truncates the series under a geometric remainder bound: every later
     block norm is dominated by the running weight tail norm, so the cut
-    error is a known geometric sum.  The remainder bound and an allowance
-    for the rounding of every term and of their sum are folded into the
-    returned value, whose root is rounded upward, so it never undershoots
-    the true norm; it only loosens (still certified) when slow decay meets
-    fast-growing blocks and the enumeration guard cuts the scan early.
+    error is a known geometric sum.  The cut comes once that remainder is
+    at most the running maximum (``t`` infinite) or its ``t``-th power is at
+    most ``_TIGHT`` of the running sum, the rule the tail windows close
+    under.  The remainder bound and an allowance for the rounding of every
+    term and of their sum are folded into the returned value, whose root is
+    rounded upward, so it never undershoots the true norm; it only loosens
+    (still certified) when slow decay meets fast-growing blocks and the
+    enumeration guard cuts the scan early.
     """
     t = config.solution_exponent
     b = spec.decay
@@ -781,12 +784,12 @@ def tracking_tail_norm(
         # r + 17 ulps; the allowance doubles its count for second-order terms
         if math.isinf(t):
             rem = b_pow * b * cap
-            if rem <= sup or rem == 0.0 or guard_hit:
+            if rem <= sup or guard_hit:
                 return max(sup, rem) * (1.0 + 2.0 * (r + 17) * _EPS)
         else:
             denominator = 1.0 - b ** t
             rem = b_pow * b * cap / denominator ** (1.0 / t)
-            if rem == 0.0 or rem ** t <= 1e-12 * acc.value or guard_hit:
+            if rem ** t <= _TIGHT * acc.value or guard_hit:
                 # t-th powers multiply those ulps by t and add one; the
                 # denominator adds 1 / denominator and the compensated sum two
                 ulps = t * (r + 17) + 1.0 / denominator + 4.0

@@ -84,7 +84,6 @@ class InferredWeights:
     rate: float
     interaction_weights: tuple
     objective: float
-    iterations: int
 
     def model(self) -> WeightModel:
         return WeightModel(
@@ -101,7 +100,6 @@ class InferredWeights:
             "r": self.rate,
             "gamma": list(self.interaction_weights),
             "objective": self.objective,
-            "iterations": self.iterations,
         }
 
 
@@ -160,6 +158,21 @@ def _combine(base: float, axis_terms: Sequence[float], ratio_exponent: float) ->
     return (base ** p + math.fsum(t ** p for t in axis_terms)) ** (1.0 / p)
 
 
+def _objective(
+    base: float, stats: Sequence[float], weights: Sequence[float], ratio_exponent: float
+) -> float:
+    """Combine per-axis statistics at unit weight into the ratio norm at ``weights``."""
+    terms = []
+    for stat, w in zip(stats, weights):
+        if stat == 0.0:
+            terms.append(0.0)
+        elif w == 0.0:
+            return math.inf
+        else:
+            terms.append(stat / w)
+    return _combine(base, terms, ratio_exponent)
+
+
 def weight_fit_objective(
     samples: Mapping[Wavenumber, float],
     dimension: int,
@@ -177,17 +190,10 @@ def weight_fit_objective(
     """
     gamma1 = float(interaction_weights[1]) if interaction_weights else 1.0
     base, per_axis = _axis_data(samples, dimension, candidates.axis_degree_cap)
-    terms = []
-    for axis, data in enumerate(per_axis):
-        stat = _axis_statistic(data, rate, gamma1, config.ratio_exponent)
-        w = float(coordinate_weights[axis])
-        if stat == 0.0:
-            terms.append(0.0)
-        elif w == 0.0:
-            return math.inf
-        else:
-            terms.append(stat / w)
-    return _combine(base, terms, config.ratio_exponent)
+    p = config.ratio_exponent
+    stats = [_axis_statistic(data, rate, gamma1, p) for data in per_axis]
+    weights = [float(coordinate_weights[axis]) for axis in range(dimension)]
+    return _objective(base, stats, weights, p)
 
 
 def infer_weights(
@@ -196,22 +202,24 @@ def infer_weights(
     candidates: CandidateSets,
     config: SpaceConfig,
     interaction_weights: Optional[Sequence[float]] = None,
-    trace: Optional[List[float]] = None,
     selection_window: Optional[float] = None,
 ) -> InferredWeights:
     """Fit coordinate weights and a decay rate to the axis probes.
 
-    Alternates a per-coordinate weight sweep (each coordinate minimizes its
-    own axis term on the grid, ties to the smaller weight) with a rate scan
-    (ties to the larger rate) until a sweep keeps the weights and lowers the
-    objective by no more than rounding; the objective never increases
-    beyond rounding along the way.  The returned point applies the outer
-    tie rule among all grid points whose objective stays within
-    ``selection_window`` (multiplicative; default treats only exact ties, up
-    to rounding, as equivalent): largest rate first, then lexicographically
-    smallest coordinate weights, so the fitted decay is as fast as the data
-    allows and unconstrained coordinates settle at zero instead of drifting
-    with the data scale.  A window wider than the default trades a slightly
+    The grid optimum has a closed form.  Each coordinate weight divides only
+    its own axis term, and a weight never exceeds the grid's cap, so at any
+    rate every coordinate at the cap minimizes every axis term at once (an
+    axis without data contributes zero whatever its weight).  The minimal
+    objective over the whole grid is therefore the minimum over rates of
+    the objective with all coordinates capped, computed exactly.
+
+    The returned point applies the tie rule among all grid points whose
+    objective stays within ``selection_window`` of that minimum
+    (multiplicative; the default treats only exact ties, up to rounding, as
+    equivalent): largest rate first, then lexicographically smallest
+    coordinate weights, so the fitted decay is as fast as the data allows
+    and unconstrained coordinates settle at zero instead of drifting with
+    the data scale.  A window wider than the default trades a slightly
     larger fitted norm for a thinner fitted space; see
     ``approximate_with_inferred_weights`` for the resolution-based choice.
     """
@@ -228,63 +236,23 @@ def infer_weights(
     }
 
     def value(weights: Sequence[float], rate: float) -> float:
-        terms = []
-        for stat, w in zip(stats[rate], weights):
-            if stat == 0.0:
-                terms.append(0.0)
-            elif w == 0.0:
-                return math.inf
-            else:
-                terms.append(stat / w)
-        return _combine(base, terms, p)
+        return _objective(base, stats[rate], weights, p)
 
-    # Alternating descent.  The weight sweep is separable: only axis terms
-    # see their own coordinate, so each either needs the full cap (data
-    # present) or is free (no data, ties break to zero).
-    weights = [w_grid[-1]] * dimension
-    rate = r_grid[-1]
-    current = value(weights, rate)
-    if trace is not None:
-        trace.append(current)
-    sweeps = 0
-    while True:
-        sweeps += 1
-        new_weights = [w_grid[-1] if stats[rate][axis] > 0.0 else 0.0
-                       for axis in range(dimension)]
-        new_rate = rate
-        best = value(new_weights, rate)
-        for cand in r_grid:
-            v = value(new_weights, cand)
-            if v < best * (1.0 - _TIE_WINDOW) or (
-                v <= best * (1.0 + _TIE_WINDOW) and cand > new_rate
-            ):
-                best, new_rate = min(best, v), cand
-        # A sweep that keeps the weights and gains no more than the tie window
-        # has settled: tied rates would otherwise trade places every sweep.
-        settled = new_weights == weights and best >= current * (1.0 - _TIE_WINDOW)
-        if best > current * (1.0 + _TIE_WINDOW):
-            raise AssertionError("descent objective increased")
-        weights, rate, current = new_weights, new_rate, best
-        if trace is not None:
-            trace.append(current)
-        if settled or sweeps >= 64:
-            break
+    caps = [w_grid[-1]] * dimension
+    at_caps = [value(caps, rate) for rate in r_grid]
+    best = min(at_caps)
 
-    # Outer tie rule over the whole grid: among points within a relative
-    # window of the converged objective, take the smallest smoothness
-    # sequence (largest rate) first, then the lexicographically smallest
-    # coordinate weights.  Rate before weights matters: every axis statistic
-    # grows with the rate, so a weights-first rule would pin the rate at the
-    # bottom of its tie plateau and hand downstream tail norms a needlessly
-    # heavy, possibly divergent space.  Rate feasibility is widest with all
-    # weights at the cap; weights then shrink greedily, axis by axis, since
-    # capping the remaining coordinates is the most permissive completion.
+    # Rate before weights matters: every axis statistic grows with the rate,
+    # so a weights-first rule would pin the rate at the bottom of its tie
+    # plateau and hand downstream tail norms a needlessly heavy, possibly
+    # divergent space.  Rate feasibility is widest with all weights at the
+    # cap; weights then shrink greedily, axis by axis, since capping the
+    # remaining coordinates is the most permissive completion.
     window = 1.0 + _TIE_WINDOW if selection_window is None else float(selection_window)
     if window < 1.0 + _TIE_WINDOW:
         raise ValueError("selection window must be at least the rounding tie window")
-    ceiling = current * window if current > 0.0 else 0.0
-    caps = [w_grid[-1]] * dimension
-    final_rate = max(cand for cand in r_grid if value(caps, cand) <= ceiling)
+    ceiling = best * window if best > 0.0 else 0.0
+    final_rate = max(rate for rate, v in zip(r_grid, at_caps) if v <= ceiling)
 
     chosen: List[float] = []
     for axis in range(dimension):
@@ -294,14 +262,13 @@ def infer_weights(
                 chosen.append(cand)
                 break
         else:
-            raise AssertionError("no feasible coordinate weight at the converged objective")
+            raise AssertionError("no feasible coordinate weight at the minimal objective")
     return InferredWeights(
         dimension=dimension,
         coordinate_weights=tuple(chosen),
         rate=final_rate,
         interaction_weights=gamma,
         objective=value(chosen, final_rate),
-        iterations=sweeps,
     )
 
 

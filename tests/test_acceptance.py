@@ -483,7 +483,7 @@ def test_acceptance_08_tractability_verdicts(capsys):
     )
 
 
-# --- 9: inference descent, exhaustive oracle, scale invariance ------------------------
+# --- 9: inference fit, exhaustive oracle, scale invariance ----------------------------
 
 
 def _exhaustive_optimum(samples, dimension, cands, cfg, window):
@@ -499,10 +499,21 @@ def _exhaustive_optimum(samples, dimension, cands, cfg, window):
     raise AssertionError("no grid point reaches the ceiling")
 
 
+def _misses_oracle(samples, dimension, cands, cfg, window):
+    got = infer_weights(samples, dimension, cands, cfg)
+    w_star, r_star, best = _exhaustive_optimum(samples, dimension, cands, cfg, window)
+    return (
+        got.rate != r_star
+        or got.coordinate_weights != w_star
+        or got.objective > best * window + 1e-300
+    )
+
+
 def test_acceptance_09_inference_descent_and_oracle(capsys):
     rng = random.Random(99)
     default_cands = CandidateSets.default()
-    monotone_breaks = 0
+    window = 1.0 + 1e-12
+    default_checked = default_mismatches = 0
     for _ in range(100):
         d = rng.randint(1, 4)
         cfg = SpaceConfig(rng.choice([2.0, math.inf]), 1.0)
@@ -510,13 +521,12 @@ def test_acceptance_09_inference_descent_and_oracle(capsys):
             k: rng.uniform(-1, 1) if rng.random() < 0.8 else 0.0
             for k in probe_wavenumbers(d, 4)
         }
-        trace = []
-        infer_weights(samples, d, default_cands, cfg, trace=trace)
-        if any(b > a * (1.0 + 1e-9) for a, b in zip(trace, trace[1:])):
-            monotone_breaks += 1
+        if d > 2:
+            continue  # the exhaustive scan of the default grid grows as 11**d
+        default_checked += 1
+        default_mismatches += _misses_oracle(samples, d, default_cands, cfg, window)
 
     coarse = CandidateSets((0.0, 0.5, 1.0), (1.0, 2.0, 3.0), 2)
-    window = 1.0 + 1e-12
     oracle_mismatches = 0
     for _ in range(30):
         d = rng.randint(1, 3)
@@ -525,14 +535,7 @@ def test_acceptance_09_inference_descent_and_oracle(capsys):
             k: rng.uniform(-1, 1) if rng.random() < 0.7 else 0.0
             for k in probe_wavenumbers(d, 2)
         }
-        got = infer_weights(samples, d, coarse, cfg)
-        w_star, r_star, best = _exhaustive_optimum(samples, d, coarse, cfg, window)
-        if (
-            got.rate != r_star
-            or got.coordinate_weights != w_star
-            or got.objective > best * window + 1e-300
-        ):
-            oracle_mismatches += 1
+        oracle_mismatches += _misses_oracle(samples, d, coarse, cfg, window)
 
     cfg = SpaceConfig(2.0, 1.0)
     samples = {
@@ -552,10 +555,10 @@ def test_acceptance_09_inference_descent_and_oracle(capsys):
             scale_breaks += 1
     _verdict(
         capsys,
-        "acceptance 09 inference descent, exhaustive oracle, scale invariance",
-        monotone_breaks == 0 and oracle_mismatches == 0 and scale_breaks == 0,
-        f"monotone breaks={monotone_breaks}/100, oracle mismatches={oracle_mismatches}/30, "
-        f"scale breaks={scale_breaks}/3",
+        "acceptance 09 inference fit, exhaustive oracle, scale invariance",
+        default_mismatches == 0 and oracle_mismatches == 0 and scale_breaks == 0,
+        f"default-grid mismatches={default_mismatches}/{default_checked}, "
+        f"coarse-grid mismatches={oracle_mismatches}/30, scale breaks={scale_breaks}/3",
     )
 
 

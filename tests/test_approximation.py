@@ -450,6 +450,27 @@ def test_pilot_flags_cone_violation_and_continues():
     assert out.n_used >= 3
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
+def test_pilot_cone_violation_flag_is_scale_invariant(scale):
+    # the partial ratio norm escapes the inflated pilot norm by a relative
+    # 1e-9, far beyond round-off, so the flag must not depend on the scale
+    model = _model_1d()
+    cfg = SpaceConfig(2.0, 1.0)
+    spec = PilotConeSpec(2, 1.5)
+    entries = WavenumberStream(model).prefix(3)
+    third = math.sqrt(2.0 * (1.5 ** 2 * (1.0 + 1e-9) ** 2 - 1.0))
+    table = {k: scale * ratio * lam for (k, lam), ratio in zip(entries, (1.0, 1.0, third))}
+    assert not pilot_necessary_check(
+        CoefficientOracle.from_table(table), WavenumberStream(model), cfg, spec, 3
+    )
+    out = approximate_on_pilot_cone(
+        CoefficientOracle.from_table(table), WavenumberStream(model), cfg, model,
+        spec, 1e-300, budget_cap=3,
+    )
+    assert out.n_used == 3
+    assert out.cone_violated
+
+
 def test_pilot_cost_monotone_in_tolerance(rng):
     model = _model_2d()
     cfg = SpaceConfig(2.0, 2.0)

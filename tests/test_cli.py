@@ -142,7 +142,6 @@ def test_infer_fit_only_generator(run):
         "r": 2.0,
         "gamma": [1.0, 1.0, 1.0],
         "objective": 0.16780286824436574,
-        "iterations": 2,
     }
 
 
