@@ -54,10 +54,21 @@ _SMOOTHNESS_TABLE = (1.0, 1.0 / 16.0, 1.0 / 81.0, 1.0 / 256.0)
 _TENSOR_LIMIT = 4
 
 
-def _unit_hash(key: bytes, message: str) -> float:
-    """Deterministic uniform draw in [0, 1) from a keyed 64-bit hash."""
-    digest = hashlib.blake2b(message.encode(), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "big") / 2.0 ** 64
+def _keyed_hash(seed: int):
+    """The seed's keyed 64-bit blake2b, fed no message yet."""
+    return hashlib.blake2b(digest_size=8, key=_seed_key(seed))
+
+
+def _unit_hash(seed: int, message: bytes) -> float:
+    """Deterministic uniform draw in [0, 1) from the seed's keyed 64-bit hash."""
+    h = _keyed_hash(seed)
+    h.update(message)
+    return int.from_bytes(h.digest(), "big") / 2.0 ** 64
+
+
+def _coef_message(digits: Iterable[str]) -> bytes:
+    """The hashed message of the coefficient whose wavenumber entries are ``digits``."""
+    return ("coef:" + ",".join(digits)).encode()
 
 
 @dataclass(frozen=True)
@@ -76,9 +87,7 @@ class RandomSeriesFunction:
     model: WeightModel = field(compare=False)
 
     def noise(self, k: Wavenumber) -> float:
-        key = _seed_key(self.seed)
-        u = _unit_hash(key, "coef:" + ",".join(map(str, k)))
-        return 2.0 * u - 1.0
+        return 2.0 * _unit_hash(self.seed, _coef_message(map(str, k))) - 1.0
 
     def coefficient(self, k: Wavenumber) -> float:
         lam = self.model.weight(k)
@@ -90,8 +99,15 @@ class RandomSeriesFunction:
     def support(self) -> np.ndarray:
         """Coefficients on the box ``{0..4}^d``, indexed by wavenumber; every other one is 0."""
         degrees = range(len(self.model.decay.values) + 1)  # the table truncates past its end
-        ks, lam = _box_weights(self.model, [degrees] * self.dimension)
-        noise = np.array([self.noise(k) for k in map(tuple, ks.T.tolist())])
+        _, lam = _box_weights(self.model, [degrees] * self.dimension)
+        # the same messages and hash as ``noise``, in the box's C order, converted in one pass
+        keyed, digests = _keyed_hash(self.seed), []
+        for digits in itertools.product([str(i) for i in degrees], repeat=self.dimension):
+            h = keyed.copy()
+            h.update(_coef_message(digits))
+            digests.append(h.digest())
+        u = np.frombuffer(b"".join(digests), ">u8").astype(np.float64) / 2.0 ** 64
+        noise = 2.0 * u - 1.0
         return (noise * lam).reshape((len(degrees),) * self.dimension)
 
 
@@ -103,10 +119,9 @@ def _seed_key(seed: int) -> bytes:
 def make_random_function(dimension: int, seed: int) -> RandomSeriesFunction:
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
-    key = _seed_key(seed)
     ranks = list(range(1, dimension + 1))
     for i in range(dimension - 1, 0, -1):
-        j = int(_unit_hash(key, f"perm:{i}") * (i + 1))
+        j = int(_unit_hash(seed, f"perm:{i}".encode()) * (i + 1))
         ranks[i], ranks[j] = ranks[j], ranks[i]
     weights = tuple(1.0 / r ** 2 for r in ranks)
     model = WeightModel(
@@ -208,6 +223,11 @@ def grid_sup(coefficients: np.ndarray, grid: EvaluationGrid) -> float:
 
     The series is finite and evaluated exactly, so the only slack is the
     grid resolution itself; the result never exceeds the true sup norm.
+
+    On a scatter grid the value is the maximum of ``_chunk_sup`` over fixed
+    chunks of points, but only the chunks that can hold the maximiser are
+    evaluated: a BLAS screen (``_screen``) finds them, and the result is
+    bitwise the full sweep's whatever the number of BLAS threads.
     """
     nonzero = np.nonzero(coefficients)
     if not nonzero[0].size:
@@ -224,25 +244,84 @@ def grid_sup(coefficients: np.ndarray, grid: EvaluationGrid) -> float:
         for table in tables:
             values = np.tensordot(values, table, axes=([0], [0]))
         return float(np.max(np.abs(values)))
-    thetas = np.arccos(np.clip(grid.points, -1.0, 1.0))
-    tables = [
-        np.cos(np.outer(np.arange(n), thetas[:, axis]))
-        for axis, n in enumerate(dense.shape)
-    ]
-    total = grid.points.shape[0]
-    trailing = dense.size // dense.shape[0]
-    chunk = max(16, min(total, 2 ** 22 // max(1, trailing)))
+    tables = _scatter_tables(dense.shape, grid.points)
+    chunk = _chunk_size(dense, grid.count)
     best = 0.0
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        cur = np.einsum("ar,ap->rp", dense.reshape(dense.shape[0], -1), tables[0][:, start:stop])
-        for axis in range(1, grid.dimension):
-            n = dense.shape[axis]
-            cur = np.einsum(
-                "arp,ap->rp", cur.reshape(n, -1, stop - start), tables[axis][:, start:stop]
-            )
-        best = max(best, float(np.max(np.abs(cur))))
+    for index in np.unique(np.flatnonzero(_screen(dense, tables)) // chunk).tolist():
+        start = index * chunk
+        best = max(best, _chunk_sup(dense, tables, start, min(start + chunk, grid.count)))
     return best
+
+
+def _scatter_tables(shape: Sequence[int], points: np.ndarray) -> List[np.ndarray]:
+    """Per axis, ``T_k(x)`` for the degrees ``k < shape[axis]`` (rows) at every point (columns)."""
+    thetas = np.arccos(np.clip(points, -1.0, 1.0))
+    return [np.cos(np.outer(np.arange(n), thetas[:, axis])) for axis, n in enumerate(shape)]
+
+
+def _chunk_size(dense: np.ndarray, total: int) -> int:
+    """Points per chunk of the sweep: its widest intermediate stays near ``2**22`` doubles."""
+    trailing = dense.size // dense.shape[0]
+    return max(16, min(total, 2 ** 22 // max(1, trailing)))
+
+
+def _chunk_sup(dense: np.ndarray, tables: Sequence[np.ndarray], start: int, stop: int) -> float:
+    """Max absolute series value over points ``start:stop``, contracting one axis at a time.
+
+    ``einsum`` here uses no BLAS, so the value depends only on the chunk's
+    points, not on the thread count; it can differ in the last ulp when the
+    same points are evaluated in a chunk of another size.
+    """
+    cur = np.einsum("ar,ap->rp", dense.reshape(dense.shape[0], -1), tables[0][:, start:stop])
+    for axis in range(1, dense.ndim):
+        n = dense.shape[axis]
+        cur = np.einsum("arp,ap->rp", cur.reshape(n, -1, stop - start), tables[axis][:, start:stop])
+    return float(np.max(np.abs(cur)))
+
+
+def _screen(dense: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Mask of the points where ``_chunk_sup``'s sweep may attain its maximum.
+
+    The axes split into two groups, and per block of points the series is
+    ``colsum((C^T TA) * TB)``, with ``C`` the coefficients as a matrix and
+    ``TA``, ``TB`` the product tables of the two groups: one BLAS product.
+    This value ``w`` and the sweep's ``v`` are floating-point sums of the
+    same ``dense.size`` products of ``d + 1`` factors, each table entry at
+    most 1 in magnitude, so each lies within ``gamma_m * sum|c|`` of the
+    exact sum (``m = dense.size + d``): ``|w - v| <= e = 2 gamma_m sum|c|``,
+    plus an allowance for the at most ``d * m`` products per value that may
+    underflow, by ``2**-1075`` each at a sensitivity of at most
+    ``max(1, sum|c|)``.  The sweep's maximiser ``p`` then has ``|w(p)| >=
+    max|w| - 2e``; the threshold keeps a margin of ``4e`` so that its own
+    rounding cannot exclude ``p``.  The BLAS result may change with the
+    thread count, but the bound holds for every summation order.
+    """
+    total = tables[0].shape[1]
+    scale = float(np.abs(dense).sum())
+    if not math.isfinite(2.0 * scale):  # NaN, infinity or overflow void the bound
+        return np.ones(total, dtype=bool)
+    split = dense.ndim // 2
+    matrix = dense.reshape(math.prod(dense.shape[:split]), -1).T
+    block = max(1, 2 ** 22 // (matrix.shape[1] + 2 * matrix.shape[0]))
+    w = np.empty(total)
+    for start in range(0, total, block):
+        part = [table[:, start : start + block] for table in tables]
+        count = part[0].shape[1]
+        ta, tb = _product_table(part[:split], count), _product_table(part[split:], count)
+        w[start : start + block] = np.einsum("bp,bp->p", matrix @ ta, tb)
+    m = dense.size + dense.ndim
+    gamma = m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
+    e = 2.0 * gamma * scale + dense.ndim * m * (1.0 + scale) * 2.0 ** -1074
+    magnitude = np.abs(w)
+    return magnitude >= float(np.max(magnitude)) - 4.0 * e
+
+
+def _product_table(tables: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """Rows ``prod_l tables[l][k_l]`` at ``count`` points, one per wavenumber ``k`` in C order."""
+    product = np.ones((1, count))
+    for table in tables:
+        product = (product[:, None, :] * table[None, :, :]).reshape(-1, count)
+    return product
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,15 @@
 import itertools
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
 import coneapprox.experiments as experiments
@@ -49,10 +55,14 @@ def test_support_matches_the_weight_stream():
 
 
 def test_support_is_the_oracle_coefficient_bitwise():
-    fn = make_random_function(4, 0)
-    support = fn.support()
-    box = list(itertools.product(range(5), repeat=4))
-    assert [float(support[k]).hex() for k in box] == [fn.coefficient(k).hex() for k in box]
+    # the whole box at d=4; a seeded sample of it at d=7, where support() hashes in one batch
+    for d, seed in [(4, 0), (7, 5)]:
+        fn = make_random_function(d, seed)
+        support = fn.support()
+        box = list(itertools.product(range(5), repeat=d))
+        if d > 4:
+            box = random.Random(seed).sample(box, 3000)
+        assert [float(support[k]).hex() for k in box] == [fn.coefficient(k).hex() for k in box]
 
 
 def test_random_function_noise_properties():
@@ -205,6 +215,98 @@ def test_grid_sup_ignores_zero_padding():
     terms = {(0, 0): 0.3, (1, 2): -0.8, (3, 1): 0.45, (2, 0): 0.2}
     for grid in (EvaluationGrid.tensor(2, 9), EvaluationGrid.scatter(2, 200)):
         assert grid_sup(_dense(terms, (7, 5)), grid) == grid_sup(_dense(terms, (4, 3)), grid)
+
+
+def _sweep(coefficients, grid):
+    """Scatter-grid ``grid_sup`` without the screen: the chunk routine on every chunk."""
+    nonzero = np.nonzero(coefficients)
+    dense = np.ascontiguousarray(coefficients[tuple(slice(int(i.max()) + 1) for i in nonzero)])
+    tables = experiments._scatter_tables(dense.shape, grid.points)
+    chunk = experiments._chunk_size(dense, grid.count)
+    return max(
+        experiments._chunk_sup(dense, tables, start, min(start + chunk, grid.count))
+        for start in range(0, grid.count, chunk)
+    )
+
+
+_SCREENED_CELLS = dict(dimensions=(7,), tolerances=(1e-1,), seeds=(1, 4, 6))
+_SCREENED_SCRIPT = (
+    "from coneapprox import ExperimentConfig, run_experiment\n"
+    f"rows = run_experiment(ExperimentConfig(**{_SCREENED_CELLS!r}))\n"
+    "print(' '.join(row.sup_error.hex() for row in rows))\n"
+)
+
+
+def test_screened_grid_sup_is_the_full_sweep_at_any_blas_thread_count(monkeypatch):
+    # gate 07's d=7 cells on the default 16,384-point grid: the screen's BLAS
+    # product may round differently with the thread count, the result may not
+    seen, chunk_starts = [], []
+    chunk_sup = experiments._chunk_sup
+
+    def sup(coefficients, grid):
+        seen.append((coefficients.copy(), grid))
+        return grid_sup(coefficients, grid)
+
+    def counted_chunk_sup(dense, tables, start, stop):
+        chunk_starts.append(start)
+        return chunk_sup(dense, tables, start, stop)
+
+    monkeypatch.setattr(experiments, "grid_sup", sup)
+    monkeypatch.setattr(experiments, "_chunk_sup", counted_chunk_sup)
+    rows = run_experiment(ExperimentConfig(**_SCREENED_CELLS))
+    screened = len(chunk_starts)
+    want = [_sweep(residual, grid).hex() for residual, grid in seen]
+    assert [row.sup_error.hex() for row in rows] == want
+    assert 10 * screened < len(chunk_starts) - screened  # the screen skips most chunks
+    package_root = os.path.dirname(os.path.dirname(experiments.__file__))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCREENED_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.split() == want, threads
+
+
+@st.composite
+def _screen_cases(draw):
+    """Dense coefficient arrays at d = 5-7 with a scatter grid, ties included."""
+    d = draw(st.integers(5, 7))
+    shape = tuple(draw(st.sampled_from([5, 4, 3, 2, 1])) for _ in range(d))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coefficients = rng.uniform(-1.0, 1.0, shape) * (rng.random(shape) < draw(st.floats(0.05, 1.0)))
+    coefficients[tuple(n - 1 for n in shape)] = 0.5  # no trimming: the drawn shape sets the chunks
+    kind = draw(st.sampled_from(["random", "dominant constant", "constant only"]))
+    if kind == "constant only":
+        coefficients[...] = 0.0
+    if kind != "random":
+        # T_0 is 1 everywhere: a lone constant makes exact ties, and a dominant
+        # one makes values that tie up to a few of its ulps at the larger scales
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        coefficients[(0,) * d] = sign * 10.0 ** draw(st.integers(12, 17))
+    # one to four chunks of the sweep, whose size the shape sets; at most 2**16 points
+    chunk = max(16, 2 ** 22 // (coefficients.size // shape[0]))
+    chunks = draw(st.integers(1, 4))
+    points = min(draw(st.integers((chunks - 1) * chunk + 1, chunks * chunk)), 2 ** 16)
+    return coefficients, EvaluationGrid.scatter(d, points)
+
+
+def _near_tie():
+    # three chunks of values within a few ulps of 1e16: the screen's maximiser is
+    # not the sweep's, so a screen that kept only its own would miss it
+    coefficients = np.random.default_rng(0).uniform(-1.0, 1.0, (5,) * 6)
+    coefficients[(0,) * 6] = 1e16
+    return coefficients, EvaluationGrid.scatter(6, 3000)
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=_near_tie())
+@given(case=_screen_cases())
+def test_screened_grid_sup_equals_full_sweep(case):
+    # a large candidate set may cost time, never change the value
+    coefficients, grid = case
+    assert grid_sup(coefficients, grid).hex() == _sweep(coefficients, grid).hex()
 
 
 # --- residual bookkeeping -----------------------------------------------------------
