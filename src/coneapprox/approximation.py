@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .enumeration import WavenumberStream
+from .enumeration import StreamExhausted, WavenumberStream
 from .spaces import CoefficientOracle, DivergentNormError, SpaceConfig, seq_norm
 from .weights import WeightModel
 
@@ -432,14 +432,8 @@ def tail_weight_norm(
     return _TailNorms(config, model, stream).tail(n)
 
 
-def _pairs(stream: WavenumberStream, lo: int, hi: int):
-    """``(wavenumber, weight)`` at stream positions ``lo..hi-1``, read from the stream's views."""
-    rows = stream.rows(hi)  # shorter at exhaustion
-    return zip(zip(*rows[lo:].T.tolist()), stream.weights(len(rows))[lo:].tolist())
-
-
 def _sample_prefix(oracle: CoefficientOracle, stream: WavenumberStream, n: int) -> tuple:
-    return tuple((k, oracle.query(k)) for k, _ in _pairs(stream, 0, n))
+    return tuple((k, oracle.query(k)) for k, _ in stream.prefix(n))
 
 
 def prefix_approximation(
@@ -492,20 +486,13 @@ def approximate_on_ball(
         raise ValueError("tolerance must be positive")
     tails = _TailNorms(config, model, stream)
     n_star = _scan_tail_below(tails, tolerance / radius, 0, budget_cap)
-    if n_star is None:
-        terms = _sample_prefix(oracle, stream, budget_cap)
-        return ApproxOutcome(
-            terms=terms,
-            n_used=oracle.cost,
-            final_error_bound=radius * tails.tail(budget_cap),
-            stopped_by=BUDGET_EXHAUSTED,
-        )
-    terms = _sample_prefix(oracle, stream, n_star)
+    n = budget_cap if n_star is None else n_star
+    terms = _sample_prefix(oracle, stream, n)
     return ApproxOutcome(
         terms=terms,
         n_used=oracle.cost,
-        final_error_bound=radius * tails.tail(n_star),
-        stopped_by=TOLERANCE_MET,
+        final_error_bound=radius * tails.tail(n),
+        stopped_by=BUDGET_EXHAUSTED if n_star is None else TOLERANCE_MET,
     )
 
 
@@ -590,54 +577,38 @@ def approximate_on_pilot_cone(
         raise ValueError("pilot does not fit inside the budget cap")
     p = config.ratio_exponent
     tails = _TailNorms(config, model, stream)
-    terms: List[tuple] = []
-    violated = False
-
-    sup_ratio = 0.0
-    power_acc = _Accumulator()
-
-    def absorb(entries) -> None:
-        nonlocal sup_ratio
-        for k, lam in entries:
-            coef = oracle.query(k)
-            terms.append((k, coef))
-            ratio = abs(coef) / lam
-            if math.isinf(p):
-                if ratio > sup_ratio:
-                    sup_ratio = ratio
-            else:
-                power_acc.add(ratio ** p)
-
-    absorb(_pairs(stream, 0, spec.pilot_size))
+    terms = list(_sample_prefix(oracle, stream, spec.pilot_size))
     n = len(terms)  # may fall short of pilot_size on a finite stream
-    pending = iter(())  # positions n.. that the stream has served
+    ratios = [abs(c) / lam for (_, c), lam in zip(terms, stream.weights(n).tolist())]
+    power_acc = _Accumulator()
     if math.isinf(p):
-        pilot_norm = sup_ratio
+        pilot_norm = sup_ratio = max([0.0] + ratios)
     else:
+        power_acc.running(r ** p for r in ratios)
         pilot_norm = power_acc.value ** (1.0 / p)
+    violated = False
 
     while True:
         partial_norm = sup_ratio if math.isinf(p) else power_acc.value ** (1.0 / p)
         root, bad = _pilot_bracket_root(p, spec.inflation, pilot_norm, partial_norm)
         violated = violated or bad
         bound = root * tails.tail(n)
-        if bound <= tolerance:
+        if bound <= tolerance or n >= budget_cap:
+            stopped = TOLERANCE_MET if bound <= tolerance else BUDGET_EXHAUSTED
+            break
+        try:
+            k, lam = stream.entry(n)
+        except StreamExhausted:  # nothing left to sample; the tail norm is zero from here on
+            bound = 0.0
             stopped = TOLERANCE_MET
             break
-        if n >= budget_cap:
-            stopped = BUDGET_EXHAUSTED
-            break
-        nxt = next(pending, None)
-        if nxt is None:
-            # take position n and every later one served so far (the tail norms read ahead)
-            pending = _pairs(stream, n, max(n + 1, stream.emitted_count))
-            nxt = next(pending, None)
-            if nxt is None:
-                # nothing left to sample; the tail norm is zero from here on
-                bound = 0.0
-                stopped = TOLERANCE_MET
-                break
-        absorb([nxt])
+        coef = oracle.query(k)
+        terms.append((k, coef))
+        ratio = abs(coef) / lam
+        if math.isinf(p):
+            sup_ratio = max(sup_ratio, ratio)  # keeps sup_ratio on a tie and on a nan ratio
+        else:
+            power_acc.add(ratio ** p)
         n += 1
 
     return ApproxOutcome(
@@ -710,7 +681,7 @@ def pilot_necessary_check(
     """Observable cone test: partial ratio norm within the inflated pilot norm."""
     if n < spec.pilot_size:
         raise ValueError("check needs at least the pilot segment")
-    ratios = [abs(oracle.query(k)) / lam for k, lam in _pairs(stream, 0, n)]
+    ratios = [abs(oracle.query(k)) / lam for k, lam in stream.prefix(n)]
     p = config.ratio_exponent
     pilot_norm = seq_norm(ratios[: spec.pilot_size], p)
     partial_norm = seq_norm(ratios, p)
@@ -726,7 +697,7 @@ def block_ratio_norm(
 ) -> float:
     """Ratio norm of block ``j`` (coefficients over weights, block entries only)."""
     lo, hi = spec.block_range(j)
-    ratios = [abs(oracle.query(k)) / lam for k, lam in _pairs(stream, lo, hi)]
+    ratios = [abs(oracle.query(k)) / lam for k, lam in stream.prefix(hi)[lo:]]
     return seq_norm(ratios, config.ratio_exponent)
 
 

@@ -340,16 +340,6 @@ class CoordinateRule:
             return tuple(self.scale * self.rate ** (l - 1) for l in range(1, d + 1))
         return (self.scale,) * d
 
-    def power_sum_finite(self, eta: float) -> bool:
-        """Whether ``sum(w[l]**eta for l >= 1)`` converges."""
-        if self.scale == 0.0:
-            return True
-        if self.kind == "algebraic":
-            return eta * self.rate > 1.0
-        if self.kind == "geometric":
-            return True
-        return False
-
     def exponent_infimum(self) -> float:
         """Infimum of exponents with a convergent power sum (``inf`` if none)."""
         if self.scale == 0.0:
@@ -407,14 +397,8 @@ def strong_tractability(
     if any(e <= 0.0 for e in etas):
         raise ValueError("witness exponents must be positive")
     infimum = max(_decay_exponent_infimum(decay), coordinate_rule.exponent_infimum())
-    tractable = math.isfinite(infimum)
-    witness = None
-    if tractable:
-        for eta in etas:
-            if coordinate_rule.power_sum_finite(eta) and not math.isinf(decay.power_sum(eta)):
-                witness = eta
-                break
-    if tractable:
+    if math.isfinite(infimum):
+        witness = next((eta for eta in etas if eta > infimum), None)
         if witness is not None:
             note = f"both weight power sums converge at eta = {witness:g}"
         else:

@@ -471,6 +471,40 @@ def test_pilot_cone_violation_flag_is_scale_invariant(scale):
     assert out.cone_violated
 
 
+def test_pilot_budget_exhaustion_reports_the_certificate_at_the_cap():
+    # the input lives on the pilot segment, so the partial norm stays the
+    # pilot norm and the bound at the cap is A * pilot_norm * tail(7)
+    model = _model_2d()
+    cfg = SpaceConfig(math.inf, 1.0)
+    entries = WavenumberStream(model).prefix(3)
+    table = {k: ratio * lam for (k, lam), ratio in zip(entries, (1.0, -0.5, 0.25))}
+    out = approximate_on_pilot_cone(
+        CoefficientOracle.from_table(table), WavenumberStream(model), cfg, model,
+        PilotConeSpec(3, 1.5), 1e-12, budget_cap=7,
+    )
+    assert out.stopped_by == BUDGET_EXHAUSTED
+    assert out.n_used == len(out.terms) == 7
+    tail = tail_weight_norm(cfg, model, WavenumberStream(model), 7)
+    assert out.final_error_bound == pilot_error_bound(cfg, 1.5, 1.0, 1.0, tail) > 1e-12
+    assert not out.cone_violated
+
+
+def test_pilot_stops_on_an_exhausted_stream_when_the_bound_is_nan():
+    # the third weight is 1e-300, so its ratio overflows to inf and the
+    # certificate at the end of the stream is inf * 0 = nan, which clears no
+    # tolerance: only the exhausted stream stops the rule
+    model = WeightModel(1, (1.0,), TableDecay((1.0, 1e-300), 0.0))
+    table = {(0,): 1.0, (1,): 0.5, (2,): 1e10}
+    out = approximate_on_pilot_cone(
+        CoefficientOracle.from_table(table), WavenumberStream(model),
+        SpaceConfig(math.inf, 1.0), model, PilotConeSpec(3, 1.5), 1e-3,
+    )
+    assert out.n_used == 3
+    assert out.final_error_bound == 0.0
+    assert out.stopped_by == TOLERANCE_MET
+    assert [k for k, _ in out.terms] == [(0,), (1,), (2,)]
+
+
 def test_pilot_cost_monotone_in_tolerance(rng):
     model = _model_2d()
     cfg = SpaceConfig(2.0, 2.0)
@@ -813,6 +847,37 @@ def test_tracking_cost_bound_loose_tolerance():
     got = tracking_cost_bound(cfg, model, WavenumberStream(model), spec, 1.0, 1e9)
     assert got == (1, spec.size(1))
     assert got == (1, 2)
+
+
+def test_tracking_cost_bound_none_past_its_block_cap():
+    # arithmetic blocks of one entry each with decay 0.9 cannot reach 1e-12
+    # within the 64 blocks the bound examines
+    model = _model_1d()
+    cfg = SpaceConfig(2.0, 2.0)
+    spec = TrackingConeSpec(start=1, inflation=2.0, decay=0.9, kind="arithmetic", step=1)
+    assert tracking_cost_bound(cfg, model, WavenumberStream(model), spec, 1.0, 1e-12) is None
+
+
+def test_tracking_certificate_in_the_sup_solution_norm(rng):
+    # both exponents infinite: block ratio norms and the decay-weighted tail
+    # norm are maxima, and the tail norm cuts once the remainder is below its
+    # running maximum
+    cfg = SpaceConfig(math.inf, math.inf)
+    for _ in range(10):
+        model = random_model(rng, max_dim=2, min_rate=2.0)
+        spec = TrackingConeSpec(
+            start=rng.choice([1, 2]), inflation=rng.uniform(1.3, 2.5),
+            decay=rng.uniform(0.3, 0.7),
+        )
+        table = tracking_cone_member(rng, model, cfg, spec)
+        eps = 10.0 ** rng.uniform(-3, -1)
+        out = approximate_on_tracking_cone(
+            CoefficientOracle.from_table(table), WavenumberStream(model), cfg, model,
+            spec, eps,
+        )
+        assert out.stopped_by == TOLERANCE_MET
+        assert exact_residual(out, table, cfg) <= out.final_error_bound <= eps
+        assert not out.cone_violated
 
 
 def _regular_setup():

@@ -343,3 +343,17 @@ def test_subnormal_band_edges_are_checked_exactly():
     entries = list(WavenumberStream(model))
     assert len(entries) == 1387
     assert entries == brute_force_order(model, 1500, 2000)
+
+
+def test_a_tie_wider_than_the_request_is_taken_whole():
+    # every wavenumber of {0, 1}^11 weighs 1: no threshold splits the 2,048
+    # ties, so the band search collapses onto the tie and takes all of it
+    model = WeightModel(11, (1.0,) * 11, TableDecay((1.0,), 0.0))
+    assert WavenumberStream(model).prefix(32) == brute_force_order(model, 1, 32)
+
+
+def test_a_slowly_decaying_axis_table_is_grown_in_capped_steps():
+    # s(k) = k**-0.05 falls so slowly that reaching a threshold would take an
+    # axis table past a band's candidate limit: the scan aborts and retries
+    model = WeightModel(2, (1.0, 1.0), AlgebraicDecay(0.05))
+    assert WavenumberStream(model).prefix(3000) == brute_force_order(model, 500, 3000)
