@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .enumeration import StreamExhausted, WavenumberStream
+from .enumeration import WavenumberStream
 from .spaces import CoefficientOracle, DivergentNormError, SpaceConfig, seq_norm
 from .weights import WeightModel
 
@@ -433,7 +433,7 @@ def tail_weight_norm(
 
 
 def _sample_prefix(oracle: CoefficientOracle, stream: WavenumberStream, n: int) -> tuple:
-    return tuple((k, oracle.query(k)) for k, _ in stream.prefix(n))
+    return tuple(oracle.query_rows(stream.rows(n)))
 
 
 def prefix_approximation(
@@ -569,7 +569,9 @@ def approximate_on_pilot_cone(
     the certificate clears the tolerance.  Ratio norms grow incrementally in
     one fixed order, so reruns are bitwise identical.  A cone violation is
     recorded on the outcome and voids the certificate, but the run continues
-    under the cone's arithmetic.
+    under the cone's arithmetic.  At an infinite ratio exponent the samples
+    after the pilot do not move the certificate, so the stop follows from
+    the tail norms alone and the extension is sampled in one batch.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -578,38 +580,50 @@ def approximate_on_pilot_cone(
     p = config.ratio_exponent
     tails = _TailNorms(config, model, stream)
     terms = list(_sample_prefix(oracle, stream, spec.pilot_size))
-    n = len(terms)  # may fall short of pilot_size on a finite stream
+    pilot = n = len(terms)  # may fall short of pilot_size on a finite stream
     ratios = [abs(c) / lam for (_, c), lam in zip(terms, stream.weights(n).tolist())]
     power_acc = _Accumulator()
     if math.isinf(p):
-        pilot_norm = sup_ratio = max([0.0] + ratios)
+        pilot_norm = max([0.0] + ratios)
+        # the root is A * pilot_norm whatever is sampled after the pilot, so the
+        # stop follows from the tail norms alone and the loop queries nothing
+        root = spec.inflation * pilot_norm
     else:
         power_acc.running(r ** p for r in ratios)
         pilot_norm = power_acc.value ** (1.0 / p)
     violated = False
 
     while True:
-        partial_norm = sup_ratio if math.isinf(p) else power_acc.value ** (1.0 / p)
-        root, bad = _pilot_bracket_root(p, spec.inflation, pilot_norm, partial_norm)
-        violated = violated or bad
+        if not math.isinf(p):
+            partial_norm = power_acc.value ** (1.0 / p)
+            root, bad = _pilot_bracket_root(p, spec.inflation, pilot_norm, partial_norm)
+            violated = violated or bad
         bound = root * tails.tail(n)
         if bound <= tolerance or n >= budget_cap:
             stopped = TOLERANCE_MET if bound <= tolerance else BUDGET_EXHAUSTED
             break
-        try:
-            k, lam = stream.entry(n)
-        except StreamExhausted:  # nothing left to sample; the tail norm is zero from here on
+        if len(stream.weights(n + 1)) <= n:  # nothing left to sample; the tail norm is zero from here on
             bound = 0.0
             stopped = TOLERANCE_MET
             break
-        coef = oracle.query(k)
-        terms.append((k, coef))
-        ratio = abs(coef) / lam
-        if math.isinf(p):
-            sup_ratio = max(sup_ratio, ratio)  # keeps sup_ratio on a tie and on a nan ratio
-        else:
-            power_acc.add(ratio ** p)
+        if not math.isinf(p):
+            k, lam = stream.entry(n)
+            coef = oracle.query(k)
+            terms.append((k, coef))
+            power_acc.add((abs(coef) / lam) ** p)
         n += 1
+
+    if math.isinf(p):
+        terms += oracle.query_rows(stream.rows(n)[pilot:])
+        # weights are positive and coefficients finite, so a ratio may overflow
+        # to inf but is never nan, and the array max is the running max of the
+        # samples in stream order; the sup only grows, so its final value
+        # decides the violation
+        with np.errstate(over="ignore"):
+            later = np.abs([c for _, c in terms[pilot:]]) / stream.weights(n)[pilot:]
+        _, violated = _pilot_bracket_root(
+            p, spec.inflation, pilot_norm, float(np.max(later, initial=pilot_norm))
+        )
 
     return ApproxOutcome(
         terms=tuple(terms),

@@ -94,6 +94,11 @@ class RandomSeriesFunction:
         return self.noise(k) * lam if lam != 0.0 else 0.0
 
     def oracle(self) -> CoefficientOracle:
+        """Hashes each coefficient when first queried, so it serves any dimension.
+
+        ``CoefficientOracle.from_array(self.support())`` serves the same
+        values from the box, where the box fits in memory.
+        """
         return CoefficientOracle.from_function(self.coefficient)
 
     def support(self) -> np.ndarray:
@@ -393,7 +398,9 @@ def _run_cell(config: ExperimentConfig, cell: Tuple[int, float, int]) -> Experim
     started = time.perf_counter() if config.timing else 0.0
     try:
         fn = make_random_function(d, seed)
-        oracle = fn.oracle()
+        # one box serves the oracle and then, with the sampled entries zeroed, the residual
+        residual = fn.support()
+        oracle = CoefficientOracle.from_array(residual)
         space = SpaceConfig(math.inf, 1.0)
         # Candidate rates are trimmed to spaces with finite tail norms; a
         # rate at or below 1/tail_exponent could never certify anything.
@@ -408,11 +415,9 @@ def _run_cell(config: ExperimentConfig, cell: Tuple[int, float, int]) -> Experim
             tolerance=eps,
             budget_cap=config.budget_cap,
         )
-        residual = fn.support()
-        for k, _ in outcome.terms:
-            # the oracle read this very entry; beyond the box every coefficient is 0
-            if max(k) < residual.shape[0]:
-                residual[k] = 0.0
+        sampled = np.fromiter(itertools.chain.from_iterable(k for k, _ in outcome.terms), np.intp).reshape(-1, d)
+        # the oracle read these very entries; beyond the box every coefficient is 0
+        residual[tuple(sampled[(sampled < residual.shape).all(axis=1)].T)] = 0.0
         g_norm = math.fsum(np.abs(residual).ravel())
         grid = EvaluationGrid.for_dimension(d, config.axis_points, config.scatter_count)
         sup = grid_sup(residual, grid)

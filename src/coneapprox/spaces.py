@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .enumeration import WavenumberStream
 from .weights import WeightModel
@@ -90,14 +92,17 @@ def seq_norm(values: Iterable[float], exponent: float) -> float:
 class CoefficientOracle:
     """Memoized access to real series coefficients with a query counter.
 
-    Wraps a ``wavenumber -> coefficient`` callable.  Every distinct
-    wavenumber is evaluated once; the counter reports how many distinct
+    Wraps a ``wavenumber -> coefficient`` callable, and optionally a
+    vectorised evaluator taking an integer array of wavenumber rows to their
+    coefficients.  Every distinct wavenumber is evaluated once, whether by
+    ``query`` or ``query_rows``; the counter reports how many distinct
     queries have been made, which is the information cost charged to the
     adaptive algorithms.
     """
 
     def __init__(self, fn: Callable[[Wavenumber], float]):
         self._fn = fn
+        self._batch: Optional[Callable[[np.ndarray], np.ndarray]] = None  # the vectorised evaluator
         self._memo: Dict[Wavenumber, float] = {}
 
     @classmethod
@@ -109,6 +114,25 @@ class CoefficientOracle:
     def from_function(cls, fn: Callable[[Wavenumber], float]) -> "CoefficientOracle":
         return cls(fn)
 
+    @classmethod
+    def from_array(cls, dense: np.ndarray) -> "CoefficientOracle":
+        """The coefficient at ``k`` is ``dense[k]`` inside the array's box, 0.0 outside it."""
+        shape = dense.shape
+
+        def one(k: Wavenumber) -> float:
+            inside = len(k) == len(shape) and all(0 <= v < n for v, n in zip(k, shape))
+            return float(dense[k]) if inside else 0.0
+
+        def batch(rows: np.ndarray) -> np.ndarray:
+            inside = ((rows >= 0) & (rows < shape)).all(axis=1)
+            values = np.zeros(len(rows))
+            values[inside] = dense[tuple(rows[inside].T)]
+            return values
+
+        oracle = cls(one)
+        oracle._batch = batch
+        return oracle
+
     @property
     def cost(self) -> int:
         """Number of distinct wavenumbers queried so far."""
@@ -118,12 +142,32 @@ class CoefficientOracle:
         k = tuple(int(v) for v in wavenumber)
         if k in self._memo:
             return self._memo[k]
-        value = self._fn(k)
-        if isinstance(value, complex) or not math.isfinite(float(value)):
-            raise ValueError(f"coefficient at {k} is not a finite real: {value!r}")
-        value = float(value)
-        self._memo[k] = value
+        value = self._memo[k] = _finite_real(k, self._fn(k))
         return value
+
+    def query_rows(self, rows: np.ndarray) -> List[Tuple[Wavenumber, float]]:
+        """``(wavenumber, coefficient)`` per row of an integer array, in row order.
+
+        Memo and cost as for ``query``: the wavenumbers not yet queried go to
+        the vectorised evaluator in one call, each once; without one, each
+        row is a ``query``.
+        """
+        keys = list(zip(*rows.T.tolist()))  # one tuple of ints per row
+        if self._batch is None:
+            return [(k, self.query(k)) for k in keys]
+        memo = self._memo
+        fresh = {k: i for i, k in enumerate(keys) if k not in memo}
+        if fresh:
+            values = self._batch(rows[list(fresh.values())])
+            for k, value in zip(fresh, values.tolist()):
+                memo[k] = _finite_real(k, value)
+        return [(k, memo[k]) for k in keys]
+
+
+def _finite_real(k: Wavenumber, value) -> float:
+    if isinstance(value, complex) or not math.isfinite(float(value)):
+        raise ValueError(f"coefficient at {k} is not a finite real: {value!r}")
+    return float(value)
 
 
 def holder_bound(input_norm: float, weight_tail_norm: float) -> float:
