@@ -455,14 +455,31 @@ def prefix_approximation(
     )
 
 
-def _scan_tail_below(
-    tails: _TailNorms, threshold: float, start: int, cap: int
-) -> Optional[int]:
-    """Least ``n in [start, cap]`` with ``tail(n) <= threshold``, else None."""
-    for n in range(start, cap + 1):
-        if tails.tail(n) <= threshold:
-            return n
+def _stop_bound(tails: _TailNorms, scale: float, tolerance: float, n: int, cap: int) -> Optional[float]:
+    """Certificate ``scale * tail(n)`` if a rule stops at ``n``, else None.
+
+    A rule stops when that bound is within the tolerance, at the cap, or at
+    the end of the stream, where the bound is 0.0 even at an infinite scale.
+    """
+    bound = scale * tails.tail(n)
+    if bound <= tolerance or n >= cap:
+        return bound
+    if len(tails.stream.weights(n + 1)) <= n:
+        return 0.0
     return None
+
+
+def _scan(tails: _TailNorms, scale: float, tolerance: float, start: int, cap: int) -> Tuple[int, float]:
+    """First stop ``n >= start`` of a rule whose scale stays fixed, and its bound."""
+    n = start
+    while (bound := _stop_bound(tails, scale, tolerance, n, cap)) is None:
+        n += 1
+    return n, bound
+
+
+def _check_radius(radius: float) -> None:
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
 
 
 def approximate_on_ball(
@@ -480,19 +497,15 @@ def approximate_on_ball(
     length is both sufficient and, over the whole ball, necessary.  No
     coefficient influences the stopping point, only the returned terms.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if tolerance <= 0.0:
+    _check_radius(radius)
+    if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
-    tails = _TailNorms(config, model, stream)
-    n_star = _scan_tail_below(tails, tolerance / radius, 0, budget_cap)
-    n = budget_cap if n_star is None else n_star
-    terms = _sample_prefix(oracle, stream, n)
+    n, bound = _scan(_TailNorms(config, model, stream), radius, tolerance, 0, budget_cap)
     return ApproxOutcome(
-        terms=terms,
+        terms=_sample_prefix(oracle, stream, n),
         n_used=oracle.cost,
-        final_error_bound=radius * tails.tail(n),
-        stopped_by=BUDGET_EXHAUSTED if n_star is None else TOLERANCE_MET,
+        final_error_bound=bound,
+        stopped_by=TOLERANCE_MET if bound <= tolerance else BUDGET_EXHAUSTED,
     )
 
 
@@ -503,9 +516,15 @@ def ball_cost_bound(
     tolerance: float,
     budget_cap: int = DEFAULT_BUDGET_CAP,
 ) -> Optional[int]:
-    """Exact sample count of the ball rule, without touching coefficients."""
+    """Exact sample count of the ball rule, without touching coefficients.
+
+    The least ``n`` with ``radius * tail(n) <= tolerance``, the product the
+    rule compares, or None when that ``n`` exceeds ``budget_cap``.
+    """
+    _check_radius(radius)
     tails = _TailNorms(config, model, WavenumberStream(model))
-    return _scan_tail_below(tails, tolerance / radius, 0, budget_cap)
+    n, bound = _scan(tails, radius, tolerance, 0, budget_cap)
+    return n if bound <= tolerance and n <= budget_cap else None
 
 
 def _pilot_bracket_root(
@@ -573,7 +592,7 @@ def approximate_on_pilot_cone(
     after the pilot do not move the certificate, so the stop follows from
     the tail norms alone and the extension is sampled in one batch.
     """
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
     if spec.pilot_size > budget_cap:
         raise ValueError("pilot does not fit inside the budget cap")
@@ -582,38 +601,11 @@ def approximate_on_pilot_cone(
     terms = list(_sample_prefix(oracle, stream, spec.pilot_size))
     pilot = n = len(terms)  # may fall short of pilot_size on a finite stream
     ratios = [abs(c) / lam for (_, c), lam in zip(terms, stream.weights(n).tolist())]
-    power_acc = _Accumulator()
     if math.isinf(p):
-        pilot_norm = max([0.0] + ratios)
         # the root is A * pilot_norm whatever is sampled after the pilot, so the
-        # stop follows from the tail norms alone and the loop queries nothing
-        root = spec.inflation * pilot_norm
-    else:
-        power_acc.running(r ** p for r in ratios)
-        pilot_norm = power_acc.value ** (1.0 / p)
-    violated = False
-
-    while True:
-        if not math.isinf(p):
-            partial_norm = power_acc.value ** (1.0 / p)
-            root, bad = _pilot_bracket_root(p, spec.inflation, pilot_norm, partial_norm)
-            violated = violated or bad
-        bound = root * tails.tail(n)
-        if bound <= tolerance or n >= budget_cap:
-            stopped = TOLERANCE_MET if bound <= tolerance else BUDGET_EXHAUSTED
-            break
-        if len(stream.weights(n + 1)) <= n:  # nothing left to sample; the tail norm is zero from here on
-            bound = 0.0
-            stopped = TOLERANCE_MET
-            break
-        if not math.isinf(p):
-            k, lam = stream.entry(n)
-            coef = oracle.query(k)
-            terms.append((k, coef))
-            power_acc.add((abs(coef) / lam) ** p)
-        n += 1
-
-    if math.isinf(p):
+        # stop follows from the tail norms alone and the extension is one batch
+        pilot_norm = max([0.0] + ratios)
+        n, bound = _scan(tails, spec.inflation * pilot_norm, tolerance, pilot, budget_cap)
         terms += oracle.query_rows(stream.rows(n)[pilot:])
         # weights are positive and coefficients finite, so a ratio may overflow
         # to inf but is never nan, and the array max is the running max of the
@@ -624,12 +616,27 @@ def approximate_on_pilot_cone(
         _, violated = _pilot_bracket_root(
             p, spec.inflation, pilot_norm, float(np.max(later, initial=pilot_norm))
         )
+    else:
+        power_acc = _Accumulator()
+        power_acc.running(r ** p for r in ratios)
+        pilot_norm = power_acc.value ** (1.0 / p)
+        violated = False
+        while True:
+            root, bad = _pilot_bracket_root(p, spec.inflation, pilot_norm, power_acc.value ** (1.0 / p))
+            violated = violated or bad
+            if (bound := _stop_bound(tails, root, tolerance, n, budget_cap)) is not None:
+                break
+            k, lam = stream.entry(n)
+            coef = oracle.query(k)
+            terms.append((k, coef))
+            power_acc.add((abs(coef) / lam) ** p)
+            n += 1
 
     return ApproxOutcome(
         terms=tuple(terms),
         n_used=oracle.cost,
         final_error_bound=bound,
-        stopped_by=stopped,
+        stopped_by=TOLERANCE_MET if bound <= tolerance else BUDGET_EXHAUSTED,
         cone_violated=violated,
     )
 
@@ -652,13 +659,16 @@ def pilot_cost_bound(
     """Worst-case pilot-rule cost over cone members of norm <= ``radius``.
 
     Least ``n >= pilot_size`` with
-    ``tail(n) <= tolerance / (((A**p - 1)**(1/p)) * radius)``; the factor
-    degenerates to ``A`` at an infinite ratio exponent.  Attained exactly by
-    pilot-supported inputs of full norm.
+    ``(((A**p - 1)**(1/p)) * radius) * tail(n) <= tolerance``, or None when
+    that ``n`` exceeds ``budget_cap``; the factor degenerates to ``A`` at an
+    infinite ratio exponent, where the product is the pilot rule's own.
+    Attained exactly by pilot-supported inputs of full norm.
     """
+    _check_radius(radius)
     tails = _TailNorms(config, model, WavenumberStream(model))
-    threshold = tolerance / (_pilot_cost_factor(config, spec.inflation) * radius)
-    return _scan_tail_below(tails, threshold, spec.pilot_size, budget_cap)
+    scale = _pilot_cost_factor(config, spec.inflation) * radius
+    n, bound = _scan(tails, scale, tolerance, spec.pilot_size, budget_cap)
+    return n if bound <= tolerance and n <= budget_cap else None
 
 
 def pilot_complexity_lower(
@@ -673,11 +683,14 @@ def pilot_complexity_lower(
 
     No algorithm meeting ``tolerance`` on that class can query fewer than
     the least ``n >= pilot_size`` with
-    ``tail(n) <= 2 * tolerance / ((1 - 1/A) * radius)``.
+    ``((1 - 1/A) * radius) * tail(n) <= 2 * tolerance``; None when that
+    ``n`` exceeds ``budget_cap``.
     """
+    _check_radius(radius)
     tails = _TailNorms(config, model, WavenumberStream(model))
-    threshold = 2.0 * tolerance / ((1.0 - 1.0 / spec.inflation) * radius)
-    return _scan_tail_below(tails, threshold, spec.pilot_size, budget_cap)
+    scale = (1.0 - 1.0 / spec.inflation) * radius
+    n, bound = _scan(tails, scale, 2.0 * tolerance, spec.pilot_size, budget_cap)
+    return n if bound <= 2.0 * tolerance and n <= budget_cap else None
 
 
 def pilot_optimality_factor(config: SpaceConfig, inflation: float) -> float:
@@ -695,7 +708,8 @@ def pilot_necessary_check(
     """Observable cone test: partial ratio norm within the inflated pilot norm."""
     if n < spec.pilot_size:
         raise ValueError("check needs at least the pilot segment")
-    ratios = [abs(oracle.query(k)) / lam for k, lam in stream.prefix(n)]
+    samples = oracle.query_rows(stream.rows(n))
+    ratios = [abs(c) / lam for (_, c), lam in zip(samples, stream.weights(n).tolist())]
     p = config.ratio_exponent
     pilot_norm = seq_norm(ratios[: spec.pilot_size], p)
     partial_norm = seq_norm(ratios, p)
@@ -711,7 +725,8 @@ def block_ratio_norm(
 ) -> float:
     """Ratio norm of block ``j`` (coefficients over weights, block entries only)."""
     lo, hi = spec.block_range(j)
-    ratios = [abs(oracle.query(k)) / lam for k, lam in stream.prefix(hi)[lo:]]
+    samples = oracle.query_rows(stream.rows(hi)[lo:])
+    ratios = [abs(c) / lam for (_, c), lam in zip(samples, stream.weights(hi)[lo:].tolist())]
     return seq_norm(ratios, config.ratio_exponent)
 
 
@@ -819,7 +834,7 @@ def approximate_on_tracking_cone(
     ratio norm with the certified decay-weighted norm of all later block
     weights; the first block clearing the tolerance ends the run.
     """
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
     tails = _TailNorms(config, model, stream)
     sigmas: List[float] = []
@@ -831,7 +846,7 @@ def approximate_on_tracking_cone(
         n_j = spec.size(j)
         if n_j > budget_cap:
             stopped = BUDGET_EXHAUSTED
-            n_j = min(spec.size(j - 1), budget_cap)
+            n_j = min(spec.size(j - 1), budget_cap)  # size(0) = start may exceed the cap
             break
         sigma_j = block_ratio_norm(oracle, stream, config, spec, j)
         sigmas.append(sigma_j)
@@ -880,6 +895,7 @@ def tracking_cost_bound(
     where ``tailnorm`` is the certified decay-weighted norm of later block
     weights and ``root(j)`` the finite-exponent correction (1 at infinity).
     """
+    _check_radius(radius)
     a, b = spec.inflation, spec.decay
     tails = _TailNorms(config, model, stream)
     base = b * tolerance / (radius * a * a)
@@ -921,6 +937,7 @@ def tracking_complexity_lower(
     so any algorithm meeting the tolerance must look past block ``j``.
     ``j = 0`` means the tolerance is too loose for a nontrivial floor.
     """
+    _check_radius(radius)
     a, b = spec.inflation, spec.decay
     tails = _TailNorms(config, model, stream)
     root = _one_minus_decay_root(config.ratio_exponent, b)

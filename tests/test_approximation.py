@@ -273,6 +273,73 @@ def test_ball_budget_exhaustion():
     assert ball_cost_bound(cfg, model, 1.0, 1e-9, budget_cap=50) is None
 
 
+def test_ball_rule_and_cost_bound_agree_at_tie_tolerances():
+    # tolerances at radius * tail(n) and its two float neighbours: the rule
+    # reports the bound it compared, and the cost bound makes the same test
+    model = _model_2d()
+    rng = random.Random(0)
+    for pair in [(2.0, 2.0), (math.inf, 1.0), (2.0, 1.0)]:
+        cfg = SpaceConfig(*pair)
+        tails = _TailNorms(cfg, model, WavenumberStream(model))
+        for n in range(24):
+            radius = rng.uniform(0.3, 3.0)
+            tie = radius * tails.tail(n)
+            for eps in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)):
+                out = approximate_on_ball(
+                    CoefficientOracle.from_table({}), WavenumberStream(model), cfg, model,
+                    radius, eps,
+                )
+                assert out.stopped_by == TOLERANCE_MET
+                assert out.final_error_bound <= eps
+                assert out.n_used == ball_cost_bound(cfg, model, radius, eps)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+def test_ball_rule_and_cost_bounds_reject_a_bad_radius(radius):
+    model = _model_2d()
+    cfg = SpaceConfig(2.0, 2.0)
+    spec = PilotConeSpec(3, 1.5)
+    with pytest.raises(ValueError, match="radius"):
+        approximate_on_ball(
+            CoefficientOracle.from_table({}), WavenumberStream(model), cfg, model, radius, 0.1
+        )
+    with pytest.raises(ValueError, match="radius"):
+        ball_cost_bound(cfg, model, radius, 0.1)
+    with pytest.raises(ValueError, match="radius"):
+        pilot_cost_bound(cfg, model, spec, radius, 0.1)
+    with pytest.raises(ValueError, match="radius"):
+        pilot_complexity_lower(cfg, model, spec, radius, 0.1)
+    # outside (0, inf) no tracking block can meet the cost test, and on an
+    # endless stream the walk towards block 64 exhausts memory; a finite
+    # stream keeps a missing check from doing so here
+    finite = WeightModel(1, (1.0,), TableDecay((1.0, 0.5), 0.0))
+    tracking = TrackingConeSpec(start=2, inflation=2.0, decay=0.5)
+    constants = RegularityConstants(2.0, 0.3, 0.6, 4.0, 0.5)
+    with pytest.raises(ValueError, match="radius"):
+        tracking_cost_bound(cfg, finite, WavenumberStream(finite), tracking, radius, 0.1)
+    with pytest.raises(ValueError, match="radius"):
+        tracking_complexity_lower(
+            cfg, finite, WavenumberStream(finite), tracking, constants, radius, 0.1
+        )
+
+
+def test_rules_reject_a_nan_tolerance():
+    model = _model_2d()
+    cfg = SpaceConfig(2.0, 2.0)
+    oracle = CoefficientOracle.from_table({})
+    with pytest.raises(ValueError, match="tolerance"):
+        approximate_on_ball(oracle, WavenumberStream(model), cfg, model, 1.0, math.nan)
+    with pytest.raises(ValueError, match="tolerance"):
+        approximate_on_pilot_cone(
+            oracle, WavenumberStream(model), cfg, model, PilotConeSpec(3, 1.5), math.nan
+        )
+    with pytest.raises(ValueError, match="tolerance"):
+        approximate_on_tracking_cone(
+            oracle, WavenumberStream(model), cfg, model,
+            TrackingConeSpec(start=1, inflation=2.0, decay=0.5), math.nan,
+        )
+
+
 def test_fixed_length_rule_is_fooled_at_the_tail_norm():
     # supported entirely past the sampled prefix, norm R: the fixed rule
     # returns zero while the solution norm approaches R times the tail norm
@@ -405,6 +472,30 @@ def test_pilot_supported_cost_equals_formula(rng):
         assert out.stopped_by == TOLERANCE_MET
         assert out.n_used == pilot_cost_bound(cfg, model, spec, radius, eps)
         assert not out.cone_violated
+
+
+def test_pilot_supported_cost_equals_formula_at_tie_tolerances():
+    # at p = inf a pilot-supported input of full norm R runs the rule on
+    # (A * R) * tail(n), the product the cost bound compares; tolerances at
+    # that product and its two float neighbours must give the same count
+    model = _model_2d()
+    cfg = SpaceConfig(math.inf, 1.0)
+    rng = random.Random(0)
+    for _ in range(12):
+        spec = PilotConeSpec(rng.randint(2, 5), rng.uniform(1.1, 2.0))
+        entries = WavenumberStream(model).prefix(spec.pilot_size)
+        table = {k: rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 2.0) * lam for k, lam in entries}
+        radius = max(abs(table[k]) / lam for k, lam in entries)
+        tails = _TailNorms(cfg, model, WavenumberStream(model))
+        for n in range(spec.pilot_size, spec.pilot_size + 3):
+            tie = spec.inflation * radius * tails.tail(n)
+            for eps in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)):
+                out = approximate_on_pilot_cone(
+                    CoefficientOracle.from_table(table), WavenumberStream(model), cfg, model,
+                    spec, eps,
+                )
+                assert out.final_error_bound <= eps
+                assert out.n_used == pilot_cost_bound(cfg, model, spec, radius, eps)
 
 
 def test_pilot_guarantee_on_cone_members(rng):
@@ -838,6 +929,20 @@ def test_tracking_budget_exhaustion():
     )
     assert out.stopped_by == BUDGET_EXHAUSTED
     assert out.n_used <= 16
+
+
+def test_tracking_budget_below_the_first_block_caps_the_samples():
+    # block j - 1 fit the cap for every j >= 2, but size(0) is the spec's
+    # start, which the cap may undercut
+    model = _model_1d()
+    cfg = SpaceConfig(2.0, 2.0)
+    spec = TrackingConeSpec(start=10, inflation=2.0, decay=0.5)
+    out = approximate_on_tracking_cone(
+        CoefficientOracle.from_table({}), WavenumberStream(model), cfg, model,
+        spec, 1e-3, budget_cap=5,
+    )
+    assert out.stopped_by == BUDGET_EXHAUSTED
+    assert out.n_used == len(out.terms) == 5
 
 
 def test_tracking_cost_bound_loose_tolerance():

@@ -263,6 +263,20 @@ def test_diagnose_full_report(run):
     assert tract["eta_infimum"] == 0.5
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, float("inf")])
+def test_diagnose_rejects_a_radius_outside_the_positive_reals(run, radius):
+    cfg = {
+        "model": _model_1d(),
+        "space": {"ratio_exponent": 2.0, "solution_exponent": 1.0},
+        "radius": radius,
+        "tolerance": 1e-2,
+    }
+    code, out, err = run(["diagnose"], cfg)
+    assert code == 1
+    assert out == ""
+    assert "radius must be positive and finite" in err
+
+
 def test_diagnose_divergent_norm_reported_as_row(run):
     cfg = {
         "model": _model_1d(rate=0.4),
