@@ -11,7 +11,9 @@ sampled terms and the residual handed to ``grid_sup``.  Then:
 * ``test_support_and_residual``: ``support()`` of the cell's function and
   the zeroing of its sampled terms inside the box, as the cell does it;
 * ``test_grid_sup``: ``grid_sup`` of that residual on the scatter grid of
-  4,096 and of 16,384 points (the grid is built outside the timing).
+  4,096 and of 16,384 points (the grid is built outside the timing);
+* ``test_tensor_grid_sup``: ``grid_sup`` of the residual of cell ``d = 4,
+  eps = 1e-3, seed = 0`` on the 33^4-point tensor grid that cell uses.
 """
 
 import itertools
@@ -32,8 +34,8 @@ from coneapprox import (
 D, EPS, SEED = 7, 1e-2, 3
 
 
-@pytest.fixture(scope="module")
-def cell():
+def _record(d, eps, seed):
+    """One run of cell ``(d, eps, seed)``: its sampled terms and the residual handed to ``grid_sup``."""
     seen = {}
 
     def pipeline(*args, **kwargs):
@@ -48,8 +50,13 @@ def cell():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "approximate_with_inferred_weights", pipeline)
         patch.setattr(experiments, "grid_sup", sup)
-        run_experiment(ExperimentConfig(dimensions=(D,), tolerances=(EPS,), seeds=(SEED,)))
+        run_experiment(ExperimentConfig(dimensions=(d,), tolerances=(eps,), seeds=(seed,)))
     return seen
+
+
+@pytest.fixture(scope="module")
+def cell():
+    return _record(D, EPS, SEED)
 
 
 def test_support_and_residual(benchmark, cell):
@@ -68,3 +75,10 @@ def test_support_and_residual(benchmark, cell):
 def test_grid_sup(benchmark, cell, points):
     grid = EvaluationGrid.scatter(D, points)
     assert benchmark.pedantic(grid_sup, (cell["residual"], grid), rounds=3) > 0.0
+
+
+def test_tensor_grid_sup(benchmark):
+    residual = _record(4, 1e-3, 0)["residual"]
+    grid = EvaluationGrid.for_dimension(4)
+    assert grid.kind == "tensor"
+    assert benchmark.pedantic(grid_sup, (residual, grid), rounds=10) > 0.0

@@ -103,22 +103,39 @@ class RandomSeriesFunction:
 
     def support(self) -> np.ndarray:
         """Coefficients on the box ``{0..4}^d``, indexed by wavenumber; every other one is 0."""
-        degrees = range(len(self.model.decay.values) + 1)  # the table truncates past its end
-        _, lam = _box_weights(self.model, [degrees] * self.dimension)
+        side = len(self.model.decay.values) + 1  # the table truncates past its end
+        _, lam = _box_weights(self.model, [range(side)] * self.dimension)
         # the same messages and hash as ``noise``, in the box's C order, converted in one pass
-        keyed, digests = _keyed_hash(self.seed), []
-        for digits in itertools.product([str(i) for i in degrees], repeat=self.dimension):
-            h = keyed.copy()
-            h.update(_coef_message(digits))
-            digests.append(h.digest())
+        table = _message_table if side ** self.dimension <= _MESSAGE_TABLE_LIMIT else _message_table.__wrapped__
+        copy, digests = _keyed_hash(self.seed).copy, []
+        append = digests.append
+        for message in table(side, self.dimension):
+            h = copy()
+            h.update(message)
+            append(h.digest())
         u = np.frombuffer(b"".join(digests), ">u8").astype(np.float64) / 2.0 ** 64
         noise = 2.0 * u - 1.0
-        return (noise * lam).reshape((len(degrees),) * self.dimension)
+        return (noise * lam).reshape((side,) * self.dimension)
 
 
 @functools.lru_cache(maxsize=64)
 def _seed_key(seed: int) -> bytes:
     return hashlib.blake2b(f"series-seed:{seed}".encode(), digest_size=16).digest()
+
+
+# boxes up to the harness's d=7 keep their messages (about 5 MB there); a d=10 box would pin ~600 MB
+_MESSAGE_TABLE_LIMIT = 5 ** 7
+
+
+@functools.lru_cache(maxsize=8)
+def _message_table(side: int, dimension: int) -> Tuple[bytes, ...]:
+    """``_coef_message`` of every wavenumber of the box ``{0..side-1}^dimension``, in C order.
+
+    The messages do not depend on the seed, so every function of the box's
+    shape hashes the same table under its own key.
+    """
+    digits = [str(i) for i in range(side)]
+    return tuple(map(_coef_message, itertools.product(digits, repeat=dimension)))
 
 
 def make_random_function(dimension: int, seed: int) -> RandomSeriesFunction:
@@ -228,17 +245,23 @@ def grid_sup(coefficients: np.ndarray, grid: EvaluationGrid) -> float:
 
     The series is finite and evaluated exactly, so the only slack is the
     grid resolution itself; the result never exceeds the true sup norm.
+    Non-finite coefficients raise ``ValueError`` on both grid kinds.
 
-    On a scatter grid the value is the maximum of ``_chunk_sup`` over fixed
-    chunks of points, but only the chunks that can hold the maximiser are
-    evaluated: a BLAS screen (``_screen``) finds them, and the result is
-    bitwise the full sweep's whatever the number of BLAS threads.
+    On a tensor grid the series is contracted axis by axis over the whole
+    product grid.  On a scatter grid a BLAS screen (``_screen``) first marks
+    the points where the maximum may lie, and only those are evaluated
+    exactly, by ``_chunk_sup`` in blocks of ``_chunk_size`` points.  That
+    kernel gives each point the same value however many points it evaluates
+    together, so the result is bitwise the maximum of ``_chunk_sup`` over
+    every chunk of the grid, whatever the number of BLAS threads.
     """
-    nonzero = np.nonzero(coefficients)
-    if not nonzero[0].size:
+    if not np.isfinite(coefficients).all():
+        raise ValueError("coefficients must be finite")
+    if not coefficients.any():
         return 0.0
     # trimmed to the nonzero extent, so the contraction below sees the smallest shapes
-    dense = np.ascontiguousarray(coefficients[tuple(slice(int(i.max()) + 1) for i in nonzero)])
+    extent = [int(i.max()) + 1 for i in np.nonzero(coefficients)]
+    dense = np.ascontiguousarray(coefficients[tuple(map(slice, extent))])
     if dense.size > 2 ** 24:
         raise ValueError("nonzero coefficients span too broad a lattice for dense evaluation")
     if grid.kind == "tensor":
@@ -248,14 +271,20 @@ def grid_sup(coefficients: np.ndarray, grid: EvaluationGrid) -> float:
         values = dense
         for table in tables:
             values = np.tensordot(values, table, axes=([0], [0]))
-        return float(np.max(np.abs(values)))
+        return _abs_max(values)
     tables = _scatter_tables(dense.shape, grid.points)
-    chunk = _chunk_size(dense, grid.count)
-    best = 0.0
-    for index in np.unique(np.flatnonzero(_screen(dense, tables)) // chunk).tolist():
-        start = index * chunk
-        best = max(best, _chunk_sup(dense, tables, start, min(start + chunk, grid.count)))
-    return best
+    candidates = np.flatnonzero(_screen(dense, tables))
+    tables = [table[:, candidates] for table in tables]
+    chunk = _chunk_size(dense, candidates.size)
+    return max(
+        _chunk_sup(dense, tables, start, min(start + chunk, candidates.size))
+        for start in range(0, candidates.size, chunk)
+    )
+
+
+def _abs_max(values: np.ndarray) -> float:
+    """``max(abs(values))`` without the temporary array of absolute values."""
+    return abs(float(max(values.max(), -values.min())))  # abs: a -0.0 maximum reads 0.0
 
 
 def _scatter_tables(shape: Sequence[int], points: np.ndarray) -> List[np.ndarray]:
@@ -271,39 +300,68 @@ def _chunk_size(dense: np.ndarray, total: int) -> int:
 
 
 def _chunk_sup(dense: np.ndarray, tables: Sequence[np.ndarray], start: int, stop: int) -> float:
-    """Max absolute series value over points ``start:stop``, contracting one axis at a time.
+    """Max absolute series value over the points (table columns) ``start:stop``.
 
-    ``einsum`` here uses no BLAS, so the value depends only on the chunk's
-    points, not on the thread count; it can differ in the last ulp when the
-    same points are evaluated in a chunk of another size.
+    The value at each point is ``_contract``'s, which does not depend on the
+    other points evaluated with it: a point's value is bitwise the same in a
+    chunk of any size, at any BLAS thread count.
     """
-    cur = np.einsum("ar,ap->rp", dense.reshape(dense.shape[0], -1), tables[0][:, start:stop])
-    for axis in range(1, dense.ndim):
-        n = dense.shape[axis]
-        cur = np.einsum("arp,ap->rp", cur.reshape(n, -1, stop - start), tables[axis][:, start:stop])
-    return float(np.max(np.abs(cur)))
+    return _abs_max(_contract(dense.reshape(-1, 1), [table[:, start:stop] for table in tables]))
+
+
+# doubles per product term that ``_contract`` holds besides its results
+_TERM_SIZE = 2 ** 16
+
+
+def _contract(values: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """The series at each point (table column), contracting the leading axes of ``values`` one at a time.
+
+    ``values`` has one row per wavenumber of the tables' axes, in C order,
+    and one column per point, or a single column that every point shares.
+    Each axis adds its degrees' terms in ascending order with elementwise
+    products and sums, no ``einsum`` and no BLAS, so each point's value is
+    the same sequence of IEEE operations however many points are
+    contracted together.  Terms are formed about ``_TERM_SIZE`` doubles at
+    a time, so besides that buffer the widest intermediates are the results
+    of two consecutive axes.
+    """
+    count = tables[0].shape[1]
+    rows = max(1, _TERM_SIZE // count)
+    term = np.empty((min(rows, len(values) // len(tables[0])), count))
+    for table in tables:
+        terms = values.reshape(len(table), -1, values.shape[1])
+        values = np.empty((terms.shape[1], count))
+        for lo in range(0, len(values), rows):
+            out = values[lo : lo + rows]
+            part = term[: len(out)]
+            np.multiply(terms[0, lo : lo + rows], table[0], out=out)
+            for degree in range(1, len(table)):
+                np.multiply(terms[degree, lo : lo + rows], table[degree], out=part)
+                out += part
+    return values.reshape(-1)
 
 
 def _screen(dense: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
     """Mask of the points where ``_chunk_sup``'s sweep may attain its maximum.
 
-    The axes split into two groups, and per block of points the series is
-    ``colsum((C^T TA) * TB)``, with ``C`` the coefficients as a matrix and
-    ``TA``, ``TB`` the product tables of the two groups: one BLAS product.
-    This value ``w`` and the sweep's ``v`` are floating-point sums of the
-    same ``dense.size`` products of ``d + 1`` factors, each table entry at
-    most 1 in magnitude, so each lies within ``gamma_m * sum|c|`` of the
-    exact sum (``m = dense.size + d``): ``|w - v| <= e = 2 gamma_m sum|c|``,
-    plus an allowance for the at most ``d * m`` products per value that may
-    underflow, by ``2**-1075`` each at a sensitivity of at most
-    ``max(1, sum|c|)``.  The sweep's maximiser ``p`` then has ``|w(p)| >=
-    max|w| - 2e``; the threshold keeps a margin of ``4e`` so that its own
-    rounding cannot exclude ``p``.  The BLAS result may change with the
-    thread count, but the bound holds for every summation order.
+    The axes split into two groups, and per block of points one BLAS
+    product ``C^T TA`` contracts the first group, with ``C`` the
+    coefficients as a matrix and ``TA`` the first group's product table;
+    ``_contract`` then contracts the second group axis by axis.  This value
+    ``w`` and the sweep's ``v`` are floating-point sums of the same
+    ``dense.size`` products of ``d + 1`` factors, each table entry at most 1
+    in magnitude, so each lies within ``gamma_m * sum|c|`` of the exact sum
+    (``m = dense.size + d``): ``|w - v| <= e = 2 gamma_m sum|c|``, plus an
+    allowance for the at most ``d * m`` products per value that may
+    underflow, by ``2**-1075`` each at a sensitivity of at most ``max(1,
+    sum|c|)``.  The sweep's maximiser ``p`` then has ``|w(p)| >= max|w| -
+    2e``; the threshold keeps a margin of ``4e`` so that its own rounding
+    cannot exclude ``p``.  The BLAS result may change with the thread count,
+    but the bound holds for every summation order.
     """
     total = tables[0].shape[1]
     scale = float(np.abs(dense).sum())
-    if not math.isfinite(2.0 * scale):  # NaN, infinity or overflow void the bound
+    if not math.isfinite(2.0 * scale):  # overflow voids the bound
         return np.ones(total, dtype=bool)
     split = dense.ndim // 2
     matrix = dense.reshape(math.prod(dense.shape[:split]), -1).T
@@ -311,9 +369,8 @@ def _screen(dense: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
     w = np.empty(total)
     for start in range(0, total, block):
         part = [table[:, start : start + block] for table in tables]
-        count = part[0].shape[1]
-        ta, tb = _product_table(part[:split], count), _product_table(part[split:], count)
-        w[start : start + block] = np.einsum("bp,bp->p", matrix @ ta, tb)
+        ta = _product_table(part[:split], part[0].shape[1])
+        w[start : start + block] = _contract(matrix @ ta, part[split:])
     m = dense.size + dense.ndim
     gamma = m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
     e = 2.0 * gamma * scale + dense.ndim * m * (1.0 + scale) * 2.0 ** -1074
@@ -393,13 +450,11 @@ class ExperimentConfig:
         return cls(**body)
 
 
-def _run_cell(config: ExperimentConfig, cell: Tuple[int, float, int]) -> ExperimentRow:
+def _run_cell(config: ExperimentConfig, cell: Tuple[int, float, int], residual: np.ndarray) -> ExperimentRow:
+    """One cell on its function's box, which serves the oracle and then, sampled entries zeroed, the residual."""
     d, eps, seed = cell
     started = time.perf_counter() if config.timing else 0.0
     try:
-        fn = make_random_function(d, seed)
-        # one box serves the oracle and then, with the sampled entries zeroed, the residual
-        residual = fn.support()
         oracle = CoefficientOracle.from_array(residual)
         space = SpaceConfig(math.inf, 1.0)
         # Candidate rates are trimmed to spaces with finite tail norms; a
@@ -418,7 +473,7 @@ def _run_cell(config: ExperimentConfig, cell: Tuple[int, float, int]) -> Experim
         sampled = np.fromiter(itertools.chain.from_iterable(k for k, _ in outcome.terms), np.intp).reshape(-1, d)
         # the oracle read these very entries; beyond the box every coefficient is 0
         residual[tuple(sampled[(sampled < residual.shape).all(axis=1)].T)] = 0.0
-        g_norm = math.fsum(np.abs(residual).ravel())
+        g_norm = math.fsum(np.abs(residual).ravel().tolist())  # Python floats sum faster than numpy scalars
         grid = EvaluationGrid.for_dimension(d, config.axis_points, config.scatter_count)
         sup = grid_sup(residual, grid)
         measured = dict(
@@ -431,26 +486,47 @@ def _run_cell(config: ExperimentConfig, cell: Tuple[int, float, int]) -> Experim
             cone_violated=outcome.cone_violated,
         )
     except Exception as exc:  # noqa: BLE001 - a bad cell must not sink the run
-        measured = dict(
-            n_used=0,
-            sup_error=math.nan,
-            ratio=math.nan,
-            g_norm_error=math.nan,
-            inferred_r=math.nan,
-            status=f"failed:{type(exc).__name__}",
-        )
+        measured = _failure(exc)
     wall = int(round((time.perf_counter() - started) * 1000.0)) if config.timing else 0
     return ExperimentRow(d=d, eps=eps, seed=seed, wall_ms=wall, **measured)
 
 
+def _failure(exc: Exception) -> dict:
+    """The measured fields of a cell that raised ``exc``."""
+    return dict(
+        n_used=0,
+        sup_error=math.nan,
+        ratio=math.nan,
+        g_norm_error=math.nan,
+        inferred_r=math.nan,
+        status=f"failed:{type(exc).__name__}",
+    )
+
+
+def _run_function(config: ExperimentConfig, function: Tuple[int, int]) -> List[ExperimentRow]:
+    """The cells of function ``(d, seed)``, one per tolerance, on one build of its box."""
+    d, seed = function
+    try:
+        box = make_random_function(d, seed).support()
+    except Exception as exc:  # noqa: BLE001 - a bad cell must not sink the run
+        return [ExperimentRow(d=d, eps=eps, seed=seed, wall_ms=0, **_failure(exc)) for eps in config.tolerances]
+    # each cell zeroes its sampled entries, so each gets its own copy
+    return [_run_cell(config, (d, eps, seed), box.copy()) for eps in config.tolerances]
+
+
 def run_experiment(config: ExperimentConfig) -> List[ExperimentRow]:
     """All cells in deterministic (dimension, tolerance, seed) order."""
-    cells = list(itertools.product(config.dimensions, config.tolerances, config.seeds))
-    run_cell = functools.partial(_run_cell, config)
+    functions = list(itertools.product(config.dimensions, config.seeds))
+    run_function = functools.partial(_run_function, config)
     if config.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(run_cell, cells))
-    return [run_cell(cell) for cell in cells]
+            done = list(pool.map(run_function, functions))
+    else:
+        done = [run_function(function) for function in functions]
+    # done[i * len(seeds) + j][t] is cell (dimensions[i], tolerances[t], seeds[j])
+    seeds = len(config.seeds)
+    order = itertools.product(range(len(config.dimensions)), range(len(config.tolerances)), range(seeds))
+    return [done[i * seeds + j][t] for i, t, j in order]
 
 
 def write_csv(rows: Sequence[ExperimentRow], path: str) -> None:

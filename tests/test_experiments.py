@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,35 @@ def test_support_is_the_oracle_coefficient_bitwise():
         if d > 4:
             box = random.Random(seed).sample(box, 3000)
         assert [float(support[k]).hex() for k in box] == [fn.coefficient(k).hex() for k in box]
+
+
+def test_support_is_the_coefficient_bitwise_on_whole_boxes_and_d7_samples():
+    for d in range(1, 5):
+        fn = make_random_function(d, d + 10)
+        support = fn.support()
+        box = list(itertools.product(range(5), repeat=d))
+        assert [float(support[k]).hex() for k in box] == [fn.coefficient(k).hex() for k in box]
+    fn = make_random_function(7, 12)
+    support = fn.support()
+    rng = np.random.default_rng(12)
+    sample = [tuple(k) for k in rng.integers(0, 5, (1000, 7)).tolist()]
+    assert [float(support[k]).hex() for k in sample] == [fn.coefficient(k).hex() for k in sample]
+
+
+def test_message_table_is_every_coef_message_of_the_box():
+    # the seed-free table that support() hashes, in the box's C order
+    for d in (1, 2, 4, 7):
+        table = experiments._message_table(5, d)
+        box = itertools.product(range(5), repeat=d)
+        assert list(table) == [experiments._coef_message(map(str, k)) for k in box]
+    # the same object serves every later function of the shape
+    assert experiments._message_table(5, 7) is experiments._message_table(5, 7)
+    # a box past 5**7 entries builds its messages without keeping them
+    before = experiments._message_table.cache_info()
+    support = make_random_function(8, 0).support()
+    assert support.shape == (5,) * 8
+    after = experiments._message_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_random_function_noise_properties():
@@ -309,6 +339,79 @@ def test_screened_grid_sup_equals_full_sweep(case):
     assert grid_sup(coefficients, grid).hex() == _sweep(coefficients, grid).hex()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_sup_rejects_non_finite_coefficients(bad):
+    for shape, grid in [((5,) * 5, EvaluationGrid.scatter(5, 64)), ((5,) * 3, EvaluationGrid.tensor(3, 5))]:
+        coefficients = np.random.default_rng(1).uniform(-1.0, 1.0, shape)
+        coefficients[(1,) * len(shape)] = bad
+        with pytest.raises(ValueError):
+            grid_sup(coefficients, grid)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Dense arrays at d = 5-7 and a random subset of one chunk's worth of scatter points."""
+    d = draw(st.integers(5, 7))
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(d))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dense = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+    points = experiments._chunk_size(dense, draw(st.integers(1, 512)))
+    subset = np.flatnonzero(rng.random(points) < draw(st.floats(0.0, 1.0)))
+    subset = np.union1d(subset, [draw(st.integers(0, points - 1))])  # never empty, as in grid_sup
+    return dense, EvaluationGrid.scatter(d, points), subset
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_kernel_cases())
+def test_kernel_values_do_not_depend_on_the_other_points(case):
+    dense, grid, subset = case
+    tables = experiments._scatter_tables(dense.shape, grid.points)
+    full = experiments._contract(dense.reshape(-1, 1), tables)
+    part = experiments._contract(dense.reshape(-1, 1), [table[:, subset] for table in tables])
+    assert [v.hex() for v in part.tolist()] == [v.hex() for v in full[subset].tolist()]
+    for i in subset[:8].tolist():
+        assert experiments._chunk_sup(dense, tables, i, i + 1).hex() == abs(float(full[i])).hex()
+    gathered = [table[:, subset] for table in tables]
+    want = float(np.max(np.abs(full[subset])))
+    assert experiments._chunk_sup(dense, gathered, 0, subset.size).hex() == want.hex()
+
+
+def test_grid_sup_when_every_point_ties(monkeypatch):
+    grid = EvaluationGrid.scatter(7, 4096)
+    evaluated = []
+    chunk_sup = experiments._chunk_sup
+
+    def counted_chunk_sup(dense, tables, start, stop):
+        evaluated.append(stop - start)
+        return chunk_sup(dense, tables, start, stop)
+
+    monkeypatch.setattr(experiments, "_chunk_sup", counted_chunk_sup)
+    constant = np.zeros((5,) * 7)
+    constant[(0,) * 7] = -0.375
+    assert grid_sup(constant, grid) == 0.375
+    assert sum(evaluated) == 4096
+    # a dominant constant over the full box: every point is a candidate, and the
+    # exact evaluation runs in chunks whose widest intermediates are two
+    # consecutive axis results, as in the full sweep
+    coefficients = np.random.default_rng(0).uniform(-1.0, 1.0, (5,) * 7)
+    coefficients[(0,) * 7] = 1e16
+    evaluated.clear()
+    tracemalloc.start()
+    try:
+        got = grid_sup(coefficients, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(evaluated) == 4096
+    assert got.hex() == _sweep(coefficients, grid).hex()
+    chunk = experiments._chunk_size(coefficients, grid.count)
+    assert max(evaluated) == chunk
+    tables = 2 * 7 * 5 * grid.count  # the grid's tables, before and after the candidate gather
+    term = 2 ** 16  # the kernel's buffer for one degree's terms
+    allowance = 2 ** 16  # bytes of index and mask arrays over the grid's points
+    assert peak <= 8 * (chunk * (5 ** 6 + 5 ** 5) + term + tables) + allowance
+
+
 # --- residual bookkeeping -----------------------------------------------------------
 
 
@@ -463,3 +566,47 @@ def test_run_experiment_failure_rows_are_marked():
 def test_run_experiment_timing_flag():
     rows = run_experiment(_small_config(timing=True, tolerances=(1e-1,), seeds=(0,)))
     assert rows[0].wall_ms >= 0
+
+
+def test_run_experiment_builds_each_box_once(monkeypatch):
+    built = []
+    support = experiments.RandomSeriesFunction.support
+
+    def counted_support(fn):
+        built.append((fn.dimension, fn.seed))
+        return support(fn)
+
+    monkeypatch.setattr(experiments.RandomSeriesFunction, "support", counted_support)
+    config = _small_config(dimensions=(2, 3), tolerances=(1e-1, 1e-2, 1e-3), seeds=(0, 1))
+    rows = run_experiment(config)
+    assert built == [(2, 0), (2, 1), (3, 0), (3, 1)]
+    assert [(r.d, r.eps, r.seed) for r in rows] == list(
+        itertools.product(config.dimensions, config.tolerances, config.seeds)
+    )
+    # each cell zeroes its own copy: a cell run alone gives the same row
+    for row in rows:
+        (alone,) = run_experiment(_small_config(dimensions=(row.d,), tolerances=(row.eps,), seeds=(row.seed,)))
+        assert alone.to_csv() == row.to_csv()
+
+
+def test_run_experiment_box_build_failure_marks_each_of_its_cells(monkeypatch):
+    make = experiments.make_random_function
+
+    def broken(dimension, seed):
+        if seed == 1:
+            raise OverflowError("no box")
+        return make(dimension, seed)
+
+    monkeypatch.setattr(experiments, "make_random_function", broken)
+    rows = run_experiment(_small_config(tolerances=(1e-1, 1e-2, 1e-3)))
+    assert [r.status for r in rows if r.seed == 1] == ["failed:OverflowError"] * 3
+    assert all(r.status == "ToleranceMet" for r in rows if r.seed == 0)
+    assert all(r.n_used == 0 and math.isnan(r.g_norm_error) for r in rows if r.seed == 1)
+
+
+def test_run_experiment_jobs_match_serial_across_dimensions_and_tolerances():
+    config = dict(dimensions=(3, 2), tolerances=(1e-2, 1e-1, 1e-3), seeds=(2, 0, 1))
+    serial = run_experiment(_small_config(**config))
+    pooled = run_experiment(_small_config(jobs=2, **config))
+    assert [r.to_csv() for r in pooled] == [r.to_csv() for r in serial]
+    assert [(r.d, r.eps, r.seed) for r in serial] == list(itertools.product(*config.values()))
