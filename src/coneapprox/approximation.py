@@ -68,8 +68,8 @@ BUDGET_EXHAUSTED = "BudgetExhausted"
 DEFAULT_BUDGET_CAP = 10 ** 6
 
 _EPS = sys.float_info.epsilon
-# Bracket subtractions clamp negatives within this relative window to zero;
-# anything more negative is a violated precondition, not round-off.
+# A bracket below zero, or an observed value above its cone bound, by at most
+# this relative window is round-off; beyond it, a precondition or the cone fails.
 _CLAMP = 1e3 * _EPS
 _SLACK = 64.0 * _EPS  # upward rounding allowance of a certified power sum, relative
 _ROOT_SLACK = 1.0 + 8.0 * _EPS  # upward rounding of a few arithmetic steps on a root
@@ -81,6 +81,7 @@ _WINDOW_CAP = 8192  # longest window summed term by term
 _NORMAL = sys.float_info.min / _EPS  # smallest scaled sum kept at full precision
 _TIE_SLACK = 1.0 + 1e-12
 _BLOCK_CAP = 64  # most blocks the tracking cost bound and complexity floor examine
+_WALK_GUARD = 65536  # stream position past which a tracking tail norm takes its remainder bound
 
 
 @dataclass(frozen=True)
@@ -477,6 +478,15 @@ def _scan(tails: _TailNorms, scale: float, tolerance: float, start: int, cap: in
     return n, bound
 
 
+def _least_stop(
+    config: SpaceConfig, model: WeightModel, radius: float, factor: float, tolerance: float, start: int, cap: int
+) -> Optional[int]:
+    """Least ``n >= start`` where ``factor * radius * tail(n)`` meets the tolerance, or None past ``cap``."""
+    _check_radius(radius)
+    n, bound = _scan(_TailNorms(config, model, WavenumberStream(model)), factor * radius, tolerance, start, cap)
+    return n if bound <= tolerance and n <= cap else None
+
+
 def _check_radius(radius: float) -> None:
     if not 0.0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
@@ -521,31 +531,28 @@ def ball_cost_bound(
     The least ``n`` with ``radius * tail(n) <= tolerance``, the product the
     rule compares, or None when that ``n`` exceeds ``budget_cap``.
     """
-    _check_radius(radius)
-    tails = _TailNorms(config, model, WavenumberStream(model))
-    n, bound = _scan(tails, radius, tolerance, 0, budget_cap)
-    return n if bound <= tolerance and n <= budget_cap else None
+    return _least_stop(config, model, radius, 1.0, tolerance, 0, budget_cap)
 
 
 def _pilot_bracket_root(
-    ratio_exponent: float, inflation: float, pilot_norm: float, partial_norm: float
+    ratio_exponent: float, inflation: float, pilot_sum: float, partial_sum: float
 ) -> Tuple[float, bool]:
-    """Bracket root of the pilot certificate and a cone-violation flag.
+    """Bracket root of the pilot certificate per unit pilot norm, and a cone-violation flag.
 
-    Finite ratio exponent: root of ``(A * pilot)**p - partial**p``, clamped
-    at zero.  Infinite: ``A * pilot``, with violation when the partial norm
-    escapes above it.  Violation means the observed data already contradicts
-    cone membership beyond round-off.
+    The sums are the ``p``-th power sums of the pilot's and of all sampled
+    ratios (their largest ratios at an infinite ``p``).  The root is
+    ``(A**p - partial_sum / pilot_sum)**(1/p)``, clamped at zero: exactly the
+    factor ``pilot_cost_bound`` prices on pilot-supported inputs, whose
+    quotient is 1.  At an infinite ``p`` it is ``A``.  A zero pilot gives 0.
     """
+    if not pilot_sum:
+        return 0.0, partial_sum > 0.0
     p = ratio_exponent
     if math.isinf(p):
-        cap = inflation * pilot_norm
-        return cap, partial_norm > cap * (1.0 + _CLAMP)
-    cap = (inflation * pilot_norm) ** p
-    raw = cap - partial_norm ** p
-    if raw < 0.0:
-        return 0.0, raw < -_CLAMP * cap
-    return raw ** (1.0 / p), False
+        return inflation, partial_sum > inflation * pilot_sum * (1.0 + _CLAMP)
+    cap = inflation ** p
+    growth = partial_sum / pilot_sum
+    return max(cap - growth, 0.0) ** (1.0 / p), growth > cap * (1.0 + _CLAMP)
 
 
 def pilot_error_bound(
@@ -562,15 +569,16 @@ def pilot_error_bound(
     """
     if inflation <= 1.0:
         raise ValueError("inflation must exceed 1")
-    root, violated = _pilot_bracket_root(
-        config.ratio_exponent, inflation, pilot_norm, partial_norm
-    )
+    p = config.ratio_exponent
+    finite = math.isfinite(p) and pilot_norm > 0.0
+    sums = (1.0, (partial_norm / pilot_norm) ** p) if finite else (pilot_norm, partial_norm)
+    root, violated = _pilot_bracket_root(p, inflation, *sums)
     if violated:
         raise ValueError(
             "partial ratio norm exceeds the inflated pilot norm: "
             "the input lies outside the pilot cone"
         )
-    return root * tail
+    return pilot_norm * root * tail
 
 
 def approximate_on_pilot_cone(
@@ -585,7 +593,7 @@ def approximate_on_pilot_cone(
     """Adaptive truncation on the pilot cone.
 
     Samples the pilot segment, then extends one wavenumber at a time until
-    the certificate clears the tolerance.  Ratio norms grow incrementally in
+    the certificate clears the tolerance.  Ratio power sums grow incrementally in
     one fixed order, so reruns are bitwise identical.  A cone violation is
     recorded on the outcome and voids the certificate, but the run continues
     under the cone's arithmetic.  At an infinite ratio exponent the samples
@@ -601,11 +609,10 @@ def approximate_on_pilot_cone(
     terms = list(_sample_prefix(oracle, stream, spec.pilot_size))
     pilot = n = len(terms)  # may fall short of pilot_size on a finite stream
     ratios = [abs(c) / lam for (_, c), lam in zip(terms, stream.weights(n).tolist())]
+    pilot_norm = seq_norm(ratios, p)
     if math.isinf(p):
-        # the root is A * pilot_norm whatever is sampled after the pilot, so the
-        # stop follows from the tail norms alone and the extension is one batch
-        pilot_norm = max([0.0] + ratios)
-        n, bound = _scan(tails, spec.inflation * pilot_norm, tolerance, pilot, budget_cap)
+        root, _ = _pilot_bracket_root(p, spec.inflation, pilot_norm, pilot_norm)
+        n, bound = _scan(tails, pilot_norm * root, tolerance, pilot, budget_cap)
         terms += oracle.query_rows(stream.rows(n)[pilot:])
         # weights are positive and coefficients finite, so a ratio may overflow
         # to inf but is never nan, and the array max is the running max of the
@@ -613,18 +620,17 @@ def approximate_on_pilot_cone(
         # decides the violation
         with np.errstate(over="ignore"):
             later = np.abs([c for _, c in terms[pilot:]]) / stream.weights(n)[pilot:]
-        _, violated = _pilot_bracket_root(
-            p, spec.inflation, pilot_norm, float(np.max(later, initial=pilot_norm))
-        )
+        top = float(np.max(later, initial=pilot_norm))
+        _, violated = _pilot_bracket_root(p, spec.inflation, pilot_norm, top)
     else:
         power_acc = _Accumulator()
         power_acc.running(r ** p for r in ratios)
-        pilot_norm = power_acc.value ** (1.0 / p)
+        pilot_sum = power_acc.value
         violated = False
         while True:
-            root, bad = _pilot_bracket_root(p, spec.inflation, pilot_norm, power_acc.value ** (1.0 / p))
+            root, bad = _pilot_bracket_root(p, spec.inflation, pilot_sum, power_acc.value)
             violated = violated or bad
-            if (bound := _stop_bound(tails, root, tolerance, n, budget_cap)) is not None:
+            if (bound := _stop_bound(tails, pilot_norm * root, tolerance, n, budget_cap)) is not None:
                 break
             k, lam = stream.entry(n)
             coef = oracle.query(k)
@@ -641,13 +647,6 @@ def approximate_on_pilot_cone(
     )
 
 
-def _pilot_cost_factor(config: SpaceConfig, inflation: float) -> float:
-    p = config.ratio_exponent
-    if math.isinf(p):
-        return inflation
-    return (inflation ** p - 1.0) ** (1.0 / p)
-
-
 def pilot_cost_bound(
     config: SpaceConfig,
     model: WeightModel,
@@ -658,17 +657,14 @@ def pilot_cost_bound(
 ) -> Optional[int]:
     """Worst-case pilot-rule cost over cone members of norm <= ``radius``.
 
-    Least ``n >= pilot_size`` with
-    ``(((A**p - 1)**(1/p)) * radius) * tail(n) <= tolerance``, or None when
-    that ``n`` exceeds ``budget_cap``; the factor degenerates to ``A`` at an
-    infinite ratio exponent, where the product is the pilot rule's own.
-    Attained exactly by pilot-supported inputs of full norm.
+    Least ``n >= pilot_size`` with ``((A**p - 1)**(1/p) * radius) * tail(n)
+    <= tolerance`` (``A * radius`` at an infinite ratio exponent), or None
+    past ``budget_cap``.  At every exponent this product is the pilot rule's
+    own on a pilot-supported input with ``radius = seq_norm`` of its pilot
+    ratios, so such an input costs exactly this.
     """
-    _check_radius(radius)
-    tails = _TailNorms(config, model, WavenumberStream(model))
-    scale = _pilot_cost_factor(config, spec.inflation) * radius
-    n, bound = _scan(tails, scale, tolerance, spec.pilot_size, budget_cap)
-    return n if bound <= tolerance and n <= budget_cap else None
+    factor, _ = _pilot_bracket_root(config.ratio_exponent, spec.inflation, 1.0, 1.0)
+    return _least_stop(config, model, radius, factor, tolerance, spec.pilot_size, budget_cap)
 
 
 def pilot_complexity_lower(
@@ -686,16 +682,14 @@ def pilot_complexity_lower(
     ``((1 - 1/A) * radius) * tail(n) <= 2 * tolerance``; None when that
     ``n`` exceeds ``budget_cap``.
     """
-    _check_radius(radius)
-    tails = _TailNorms(config, model, WavenumberStream(model))
-    scale = (1.0 - 1.0 / spec.inflation) * radius
-    n, bound = _scan(tails, scale, 2.0 * tolerance, spec.pilot_size, budget_cap)
-    return n if bound <= 2.0 * tolerance and n <= budget_cap else None
+    factor = 1.0 - 1.0 / spec.inflation
+    return _least_stop(config, model, radius, factor, 2.0 * tolerance, spec.pilot_size, budget_cap)
 
 
 def pilot_optimality_factor(config: SpaceConfig, inflation: float) -> float:
     """Tolerance shrink under which the pilot cost floor meets its ceiling."""
-    return (1.0 - 1.0 / inflation) / (2.0 * _pilot_cost_factor(config, inflation))
+    root, _ = _pilot_bracket_root(config.ratio_exponent, inflation, 1.0, 1.0)
+    return (1.0 - 1.0 / inflation) / (2.0 * root)
 
 
 def pilot_necessary_check(
@@ -705,15 +699,19 @@ def pilot_necessary_check(
     spec: PilotConeSpec,
     n: int,
 ) -> bool:
-    """Observable cone test: partial ratio norm within the inflated pilot norm."""
+    """Observable cone test on ``n`` samples: False exactly when a pilot run of ``n`` flags them."""
     if n < spec.pilot_size:
         raise ValueError("check needs at least the pilot segment")
     samples = oracle.query_rows(stream.rows(n))
     ratios = [abs(c) / lam for (_, c), lam in zip(samples, stream.weights(n).tolist())]
     p = config.ratio_exponent
-    pilot_norm = seq_norm(ratios[: spec.pilot_size], p)
-    partial_norm = seq_norm(ratios, p)
-    return partial_norm <= spec.inflation * pilot_norm * _TIE_SLACK
+    pilot = ratios[: spec.pilot_size]
+    if math.isinf(p):
+        sums = max(pilot, default=0.0), max(ratios, default=0.0)
+    else:
+        running = [0.0] + _Accumulator().running(r ** p for r in ratios)
+        sums = running[len(pilot)], running[-1]
+    return not _pilot_bracket_root(p, spec.inflation, *sums)[1]
 
 
 def block_ratio_norm(
@@ -757,12 +755,11 @@ def tracking_tail_norm(
     term and of their sum are folded into the returned value, whose root is
     rounded upward, so it never undershoots the true norm; it only loosens
     (still certified) when slow decay meets fast-growing blocks and the
-    enumeration guard cuts the scan early.
+    scan reaches ``_WALK_GUARD``, where the remainder bound ends it.
     """
     t = config.solution_exponent
     b = spec.decay
     tails = _tails if _tails is not None else _TailNorms(config, model, stream)
-    size_guard = max(65536, 64 * spec.size(j))
     acc = _Accumulator()
     sup = 0.0
     b_pow = 1.0
@@ -778,7 +775,7 @@ def tracking_tail_norm(
         else:
             acc.add(term ** t)
         cap = tails.tail(spec.size(j + r))
-        guard_hit = spec.size(j + r) >= size_guard
+        guard_hit = spec.size(j + r) >= _WALK_GUARD
         # b_pow carries r - 1 roundings and a block norm (a root of a sum of
         # powers) at most 16 ulps, so a term or the remainder errs by at most
         # r + 17 ulps; the allowance doubles its count for second-order terms
@@ -811,10 +808,10 @@ def tracking_error_bound(
 def tracking_necessary_check(
     sigmas: Sequence[float], inflation: float, decay: float
 ) -> bool:
-    """Observable cone test on block norms indexed from 1 upward."""
+    """Observable cone test on block norms indexed from 1 upward, with the ``_CLAMP`` allowance."""
     for i, low in enumerate(sigmas):
         for r, high in enumerate(sigmas[i + 1 :], start=1):
-            if high > inflation * decay ** r * low * _TIE_SLACK:
+            if high > inflation * decay ** r * low * (1.0 + _CLAMP):
                 return False
     return True
 
@@ -894,6 +891,7 @@ def tracking_cost_bound(
 
     where ``tailnorm`` is the certified decay-weighted norm of later block
     weights and ``root(j)`` the finite-exponent correction (1 at infinity).
+    None past ``_BLOCK_CAP`` blocks or ``DEFAULT_BUDGET_CAP`` entries, as the other cost bounds.
     """
     _check_radius(radius)
     a, b = spec.inflation, spec.decay
@@ -901,6 +899,8 @@ def tracking_cost_bound(
     base = b * tolerance / (radius * a * a)
     b_pow = 1.0
     for j in range(1, _BLOCK_CAP + 1):
+        if spec.size(j) > DEFAULT_BUDGET_CAP:
+            break
         b_pow *= b
         lhs = b_pow * tracking_tail_norm(config, model, stream, spec, j, _tails=tails)
         rhs = base * _one_minus_decay_root(config.ratio_exponent, b, j)
@@ -1017,7 +1017,6 @@ def verify_regularity(
     norms = [
         block_weight_norm(stream, config, spec, j) for j in range(1, block_window + 1)
     ]
-    tol = _TIE_SLACK
     decay_ok = True
     worst_excess = 0.0
     for i, base in enumerate(norms):
@@ -1027,7 +1026,7 @@ def verify_regularity(
             other = norms[i + r]
             low = constants.lower_rate ** r * base / constants.slack
             high = constants.slack * constants.upper_rate ** r * base
-            if other > high * tol or other < low / tol:
+            if other > high * _TIE_SLACK or other < low / _TIE_SLACK:
                 decay_ok = False
                 excess = max(other / high if high else math.inf, low / other if other else math.inf)
                 worst_excess = max(worst_excess, excess)
@@ -1043,14 +1042,14 @@ def verify_regularity(
             continue
         spread = first / last
         worst_spread = max(worst_spread, spread)
-        if spread > constants.weight_spread * tol:
+        if spread > constants.weight_spread * _TIE_SLACK:
             spread_ok = False
     retention_ok = True
     worst_retention = 1.0
     for j in range(0, block_window):
         floor = 1.0 - spec.size(j) / spec.size(j + 1)
         worst_retention = min(worst_retention, floor)
-        if constants.retained_fraction > floor * tol:
+        if constants.retained_fraction > floor * _TIE_SLACK:
             retention_ok = False
     return RegularityReport(
         decay_ok=decay_ok,

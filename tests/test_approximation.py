@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from coneapprox import (
     BUDGET_EXHAUSTED,
+    DEFAULT_BUDGET_CAP,
     TOLERANCE_MET,
     AlgebraicDecay,
     ApproxOutcome,
@@ -475,27 +476,31 @@ def test_pilot_supported_cost_equals_formula(rng):
 
 
 def test_pilot_supported_cost_equals_formula_at_tie_tolerances():
-    # at p = inf a pilot-supported input of full norm R runs the rule on
-    # (A * R) * tail(n), the product the cost bound compares; tolerances at
-    # that product and its two float neighbours must give the same count
+    # a pilot-supported input of full norm R = seq_norm(pilot ratios) runs the
+    # rule on (factor * R) * tail(n), with factor (A**p - 1)**(1/p) or A at
+    # p = inf, the product the cost bound compares; tolerances at that
+    # product and its two float neighbours must give the same count
     model = _model_2d()
-    cfg = SpaceConfig(math.inf, 1.0)
-    rng = random.Random(0)
-    for _ in range(12):
-        spec = PilotConeSpec(rng.randint(2, 5), rng.uniform(1.1, 2.0))
-        entries = WavenumberStream(model).prefix(spec.pilot_size)
-        table = {k: rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 2.0) * lam for k, lam in entries}
-        radius = max(abs(table[k]) / lam for k, lam in entries)
-        tails = _TailNorms(cfg, model, WavenumberStream(model))
-        for n in range(spec.pilot_size, spec.pilot_size + 3):
-            tie = spec.inflation * radius * tails.tail(n)
-            for eps in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)):
-                out = approximate_on_pilot_cone(
-                    CoefficientOracle.from_table(table), WavenumberStream(model), cfg, model,
-                    spec, eps,
-                )
-                assert out.final_error_bound <= eps
-                assert out.n_used == pilot_cost_bound(cfg, model, spec, radius, eps)
+    for pair in [(math.inf, 1.0), (2.0, 2.0), (2.0, 1.0)]:
+        cfg = SpaceConfig(*pair)
+        p = cfg.ratio_exponent
+        rng = random.Random(0)
+        for _ in range(12):
+            spec = PilotConeSpec(rng.randint(2, 5), rng.uniform(1.1, 2.0))
+            factor = spec.inflation if math.isinf(p) else (spec.inflation ** p - 1.0) ** (1.0 / p)
+            entries = WavenumberStream(model).prefix(spec.pilot_size)
+            table = {k: rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 2.0) * lam for k, lam in entries}
+            radius = seq_norm([abs(table[k]) / lam for k, lam in entries], p)
+            tails = _TailNorms(cfg, model, WavenumberStream(model))
+            for n in range(spec.pilot_size, spec.pilot_size + 3):
+                tie = factor * radius * tails.tail(n)
+                for eps in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)):
+                    out = approximate_on_pilot_cone(
+                        CoefficientOracle.from_table(table), WavenumberStream(model), cfg, model,
+                        spec, eps,
+                    )
+                    assert out.final_error_bound <= eps
+                    assert out.n_used == pilot_cost_bound(cfg, model, spec, radius, eps)
 
 
 def test_pilot_guarantee_on_cone_members(rng):
@@ -560,6 +565,32 @@ def test_pilot_cone_violation_flag_is_scale_invariant(scale):
     )
     assert out.n_used == 3
     assert out.cone_violated
+
+
+@pytest.mark.parametrize("pair", [(math.inf, 1.0), (2.0, 2.0)])
+@pytest.mark.parametrize("excess, outside", [(5e-13, True), (5e-14, False)])
+def test_pilot_rule_and_necessary_check_share_one_membership_slack(pair, excess, outside):
+    # pilot ratios (1, 0.5) and a third that lifts the partial ratio norm a
+    # relative excess above the inflated pilot norm: 5e-13 is past the
+    # round-off window, where the rule and the check must both see a
+    # violation, and 5e-14 is inside it, where neither may
+    model = WeightModel(1, (0.5,), AlgebraicDecay(3.0))
+    cfg = SpaceConfig(*pair)
+    spec = PilotConeSpec(2, 1.5)
+    pilot_norm = seq_norm([1.0, 0.5], cfg.ratio_exponent)
+    partial_norm = spec.inflation * pilot_norm * (1.0 + excess)
+    third = partial_norm if math.isinf(cfg.ratio_exponent) else math.sqrt(partial_norm ** 2 - 1.25)
+    entries = WavenumberStream(model).prefix(3)
+    table = {k: ratio * lam for (k, lam), ratio in zip(entries, (1.0, 0.5, third))}
+    out = approximate_on_pilot_cone(
+        CoefficientOracle.from_table(table), WavenumberStream(model), cfg, model,
+        spec, 1e-300, budget_cap=3,
+    )
+    assert out.n_used == 3
+    assert out.cone_violated == outside
+    assert pilot_necessary_check(
+        CoefficientOracle.from_table(table), WavenumberStream(model), cfg, spec, 3
+    ) == (not outside)
 
 
 def test_pilot_budget_exhaustion_reports_the_certificate_at_the_cap():
@@ -961,6 +992,19 @@ def test_tracking_cost_bound_none_past_its_block_cap():
     cfg = SpaceConfig(2.0, 2.0)
     spec = TrackingConeSpec(start=1, inflation=2.0, decay=0.9, kind="arithmetic", step=1)
     assert tracking_cost_bound(cfg, model, WavenumberStream(model), spec, 1.0, 1e-12) is None
+
+
+def test_tracking_cost_bound_stops_at_the_budget():
+    # slow weight decay and slow cone decay: at tolerance 1e-3 a walk to
+    # block 64 with no budget emits 16.8 M entries and takes 2.2 GiB
+    model = WeightModel(2, (0.9, 0.7), AlgebraicDecay(1.2))
+    spec = TrackingConeSpec(start=1, inflation=1.5, decay=0.9)
+    cfg = SpaceConfig(2.0, 1.0)
+    stream = WavenumberStream(model)
+    assert tracking_cost_bound(cfg, model, stream, spec, 1.0, 1e-3) is None
+    assert stream.emitted_count <= 2 * DEFAULT_BUDGET_CAP
+    # a passing block past the 65,536-entry walk guard is found from the loose remainder bound
+    assert tracking_cost_bound(cfg, model, WavenumberStream(model), spec, 1.0, 1e-2) == (15, 32768)
 
 
 def test_tracking_certificate_in_the_sup_solution_norm(rng):

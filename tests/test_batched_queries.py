@@ -28,6 +28,8 @@ from coneapprox import (
     WeightModel,
     approximate_on_pilot_cone,
     make_random_function,
+    pilot_necessary_check,
+    seq_norm,
 )
 from coneapprox.approximation import _Accumulator, _pilot_bracket_root, _TailNorms
 from coneapprox.enumeration import StreamExhausted
@@ -44,19 +46,18 @@ def _reference_pilot(oracle, stream, config, model, spec, tolerance, budget_cap=
     terms = [(k, oracle.query(k)) for k, _ in stream.prefix(spec.pilot_size)]
     n = len(terms)
     ratios = [abs(c) / lam for (_, c), lam in zip(terms, stream.weights(n).tolist())]
+    pilot_norm = sup_ratio = seq_norm(ratios, p)
     power_acc = _Accumulator()
-    if math.isinf(p):
-        pilot_norm = sup_ratio = max([0.0] + ratios)
-    else:
+    if not math.isinf(p):
         power_acc.running(r ** p for r in ratios)
-        pilot_norm = power_acc.value ** (1.0 / p)
+    pilot_sum = sup_ratio if math.isinf(p) else power_acc.value
     violated = False
 
     while True:
-        partial_norm = sup_ratio if math.isinf(p) else power_acc.value ** (1.0 / p)
-        root, bad = _pilot_bracket_root(p, spec.inflation, pilot_norm, partial_norm)
+        partial_sum = sup_ratio if math.isinf(p) else power_acc.value
+        root, bad = _pilot_bracket_root(p, spec.inflation, pilot_sum, partial_sum)
         violated = violated or bad
-        bound = root * tails.tail(n)
+        bound = pilot_norm * root * tails.tail(n)
         if bound <= tolerance or n >= budget_cap:
             stopped = TOLERANCE_MET if bound <= tolerance else BUDGET_EXHAUSTED
             break
@@ -183,6 +184,20 @@ def test_pilot_rule_equals_the_one_query_per_step_loop(case, kind):
     assert (got.stopped_by, got.cone_violated) == (want.stopped_by, want.cone_violated)
     assert [(k, c.hex()) for k, c in got_memo] == [(k, c.hex()) for k, c in want_memo]
     assert got_calls == want_calls
+
+
+@settings(max_examples=200, deadline=None)
+@example(case=_OVERFLOW, kind="table")
+@example(case=_OVERFLOW_LATE, kind="array")
+@given(case=_pilot_cases(), kind=st.sampled_from(["table", "array"]))
+def test_pilot_rule_flags_the_cone_exactly_when_the_necessary_check_fails(case, kind):
+    model, space, spec, table, tolerance, cap = case
+    out = approximate_on_pilot_cone(
+        _oracle(kind, table), WavenumberStream(model), space, model, spec, tolerance, budget_cap=cap
+    )
+    if out.n_used >= spec.pilot_size:  # else the stream ended inside the pilot
+        member = pilot_necessary_check(_oracle(kind, table), WavenumberStream(model), space, spec, out.n_used)
+        assert out.cone_violated == (not member)
 
 
 def test_an_overflowing_ratio_after_the_pilot_falsifies_the_cone():

@@ -263,6 +263,22 @@ def test_diagnose_full_report(run):
     assert tract["eta_infimum"] == 0.5
 
 
+def test_diagnose_tracking_ceiling_on_slow_decay(run):
+    # slow weight and cone decay: the ceiling lies past the tracking tail
+    # norm's 65,536-entry walk guard, so it comes from the loose remainder
+    # bound, and at 1e-3 it lies past the budget and reads null (the library
+    # test takes that case; here the ball cost alone would scan 740,858 entries)
+    cfg = {
+        "model": {"d": 2, "w": [0.9, 0.7], "s": {"kind": "algebraic", "r": 1.2}},
+        "space": {"ratio_exponent": 2.0, "solution_exponent": 1.0},
+        "tolerance": 1e-2,
+        "tracking": {"start": 1, "inflation": 1.5, "decay": 0.9},
+    }
+    code, out, _ = run(["diagnose"], cfg)
+    assert code == 0
+    assert json.loads(out)["tracking"] == {"cost": {"block": 15, "samples": 32768}}
+
+
 @pytest.mark.parametrize("radius", [-1.0, 0.0, float("inf")])
 def test_diagnose_rejects_a_radius_outside_the_positive_reals(run, radius):
     cfg = {
