@@ -16,7 +16,14 @@ function is the harness's ``d = 7, seed = 0``, whose coefficient box
 * ``test_pilot_rule_on_the_fitted_model``: ``approximate_on_pilot_cone`` at
   space ``(inf, 1)`` and tolerance 1e-3, on the model the pipeline fits to
   the function's probes, with the pipeline's pilot size and the harness
-  inflation 1.1.  Each round builds a fresh stream and a fresh box oracle.
+  inflation 1.1.  Each round builds a fresh stream and a fresh box oracle;
+* ``test_pilot_rule_at_a_finite_exponent``: ``approximate_on_pilot_cone`` at
+  space ``(2, 1)`` and tolerance 1e-6 on a pilot-supported input of full
+  norm, whose cost is ``pilot_cost_bound``.  Each round builds a fresh
+  stream and a fresh table oracle;
+* ``test_ball_cost_bound_deep_in_the_stream``: ``ball_cost_bound`` on
+  ``WeightModel(2, (0.9, 0.7), AlgebraicDecay(1.2))`` at space ``(2, 1)``,
+  radius 1 and tolerance 1e-3, a scan to position 740,858.
 """
 
 import math
@@ -26,15 +33,20 @@ import pytest
 
 from coneapprox import (
     TOLERANCE_MET,
+    AlgebraicDecay,
     CandidateSets,
     CoefficientOracle,
     PilotConeSpec,
     SpaceConfig,
     WavenumberStream,
+    WeightModel,
     approximate_on_pilot_cone,
+    ball_cost_bound,
     infer_weights,
     make_random_function,
+    pilot_cost_bound,
     probe_wavenumbers,
+    seq_norm,
 )
 
 D, SEED, EPS, INFLATION = 7, 0, 1e-3, 1.1
@@ -90,3 +102,26 @@ def test_pilot_rule_on_the_fitted_model(benchmark, box):
 
     outcome = benchmark.pedantic(run, rounds=5)
     assert outcome.stopped_by == TOLERANCE_MET
+
+
+def test_pilot_rule_at_a_finite_exponent(benchmark):
+    space = SpaceConfig(2.0, 1.0)
+    model = WeightModel(2, (0.5, 0.4), AlgebraicDecay(4.5))
+    spec = PilotConeSpec(4, 1.4)
+    ratios = (1.0, 0.6, 0.8, 0.3)
+    table = {k: ratio * lam for (k, lam), ratio in zip(WavenumberStream(model).prefix(4), ratios)}
+
+    def run():
+        return approximate_on_pilot_cone(
+            CoefficientOracle.from_table(table), WavenumberStream(model), space, model, spec, 1e-6
+        )
+
+    outcome = benchmark.pedantic(run, rounds=5)
+    assert outcome.stopped_by == TOLERANCE_MET
+    assert outcome.n_used == pilot_cost_bound(space, model, spec, seq_norm(ratios, 2.0), 1e-6)
+
+
+def test_ball_cost_bound_deep_in_the_stream(benchmark):
+    model = WeightModel(2, (0.9, 0.7), AlgebraicDecay(1.2))
+    cost = benchmark.pedantic(ball_cost_bound, (SpaceConfig(2.0, 1.0), model, 1.0, 1e-3), rounds=3)
+    assert cost == 740858

@@ -78,6 +78,9 @@ _ROOT_SLACK = 1.0 + 8.0 * _EPS  # upward rounding of a few arithmetic steps on a
 # power; subtraction so serves while the tail keeps about 2**-20 of the total.
 _TIGHT = 2.0 ** -26
 _WINDOW_CAP = 8192  # longest window summed term by term
+_CELL_BITS = 7  # positions sharing their top bits share a window: a cell is at most 1/64 of its start
+_CELL_WIDTH = 256  # widest cell
+_WINDOW_MEMO = 4  # windows kept
 _NORMAL = sys.float_info.min / _EPS  # smallest scaled sum kept at full precision
 _TIE_SLACK = 1.0 + 1e-12
 _BLOCK_CAP = 64  # most blocks the tracking cost bound and complexity floor examine
@@ -250,7 +253,13 @@ class RegularityReport:
 
 
 class _Accumulator:
-    """Neumaier compensated running sum (deterministic, order-fixed)."""
+    """Neumaier compensated running sum (deterministic, order-fixed).
+
+    ``add`` takes one Neumaier step.  ``running`` forms the same sums as a
+    loop of those steps, bit for bit, in two sequential passes: the plain
+    running sums first, then the running sum of each step's error term,
+    chosen elementwise as the step chooses it.
+    """
 
     __slots__ = ("_sum", "_comp")
 
@@ -259,22 +268,26 @@ class _Accumulator:
         self._comp = 0.0
 
     def add(self, x: float) -> None:
-        self.running((x,))
+        total = self._sum
+        t = total + x
+        if abs(total) >= abs(x):
+            self._comp += (total - t) + x
+        else:
+            self._comp += (x - t) + total
+        self._sum = t
 
-    def running(self, values) -> List[float]:
+    def running(self, values) -> np.ndarray:
         """Add the values in turn; returns the compensated sum after each."""
-        total, comp = self._sum, self._comp
-        out = []
-        for x in values:
-            t = total + x
-            if abs(total) >= abs(x):
-                comp += (total - t) + x
-            else:
-                comp += (x - t) + total
-            total = t
-            out.append(total + comp)
-        self._sum, self._comp = total, comp
-        return out
+        x = np.asarray(values, dtype=float) if isinstance(values, np.ndarray) else np.fromiter(values, float)
+        if not len(x):
+            return x
+        with np.errstate(invalid="ignore", over="ignore"):
+            sums = np.add.accumulate(np.concatenate(((self._sum,), x)))
+            before, sums = sums[:-1], sums[1:]
+            errors = np.where(np.abs(before) >= np.abs(x), (before - sums) + x, (x - sums) + before)
+            comps = np.add.accumulate(np.concatenate(((self._comp,), errors)))[1:]
+            self._sum, self._comp = float(sums[-1]), float(comps[-1])
+            return sums + comps
 
     @property
     def value(self) -> float:
@@ -293,8 +306,19 @@ def _pow_up(x: float, e: float) -> float:
     return y * (1.0 + (2.0 + 2.0 * abs(math.log(y))) * _EPS) if y > 0.0 else y
 
 
+def _window_offsets() -> np.ndarray:
+    """Scheduled window ends past the window's start: 1, then a quarter more at a time, up to the cap."""
+    offsets = [1]
+    while offsets[-1] < _WINDOW_CAP:
+        offsets.append(min(offsets[-1] + max(1, offsets[-1] // 4), _WINDOW_CAP))
+    return np.array(offsets)
+
+
+_WINDOW_ENDS = _window_offsets()
+
+
 class _TailNorms:
-    """Certified tail norms of the weight stream.
+    """Certified tail norms of the weight stream, each a pure function of its position.
 
     ``tail(n)`` bounds from above the tail_exponent-norm of all weights after
     the first ``n`` stream entries: the next weight at an infinite exponent,
@@ -308,14 +332,22 @@ class _TailNorms:
     of two reads ``min(subtraction at n, S(n, N) + auxiliary bound at N)``.
 
     The window is empty (plain subtraction plus slack) while the slack is at
-    most ``_TIGHT`` of the value; else it grows a quarter at a time until the
-    auxiliary bound is at most ``_TIGHT`` of the value, or it spans
-    ``_WINDOW_CAP`` entries (certified, but then not within ``_TIGHT``).
-    Its reverse cumulative sums serve later queries while it stays tight
-    for them, so a value may depend on the queries before it.
-    Every sum carries its own error bound, and every root is rounded upward
-    by ``_pow_up``, so no exponent, however large, lets a value undershoot.
-    Negative subtractions beyond the round-off clamp raise.
+    most ``_TIGHT`` of the value.  Else the positions sharing their top
+    ``_CELL_BITS`` bits form a cell (at most ``_CELL_WIDTH`` wide), and the
+    window starts at the cell's first position.  Its end is the first of the
+    scheduled ends ``_WINDOW_ENDS`` past the cell where the auxiliary bound
+    is at most ``_TIGHT`` of the value at the cell's last position, or the
+    cap ``_WINDOW_CAP`` entries on (certified, but then not within
+    ``_TIGHT``).  A position the cell's window does not serve tightly gets a
+    window of its own, chosen the same way.  Which window serves ``n`` so
+    depends on ``n`` alone, and the few windows kept are only a memo: a
+    value never depends on the queries before it.  Every sum carries its
+    own error bound, and every root is rounded upward by ``_pow_up``, so no
+    exponent, however large, lets a value undershoot.  Negative subtractions
+    beyond the round-off clamp raise.
+
+    ``floors`` bounds ``tail`` from below over the entries the stream has
+    enumerated, so a scan can skip the positions that cannot stop.
     """
 
     def __init__(self, config: SpaceConfig, model: WeightModel, stream: WavenumberStream):
@@ -334,15 +366,18 @@ class _TailNorms:
                 "weight power sum diverges at the tail exponent; "
                 "no finite certificate exists on this space"
             )
-        self._sums = [0.0]  # sums[i]: compensated sum of the first i powers
+        self._powers = np.empty(0)  # powers[i]: weight i to the p
+        self._sums = np.zeros(1)  # sums[i]: compensated sum of the first i powers
         self._acc = _Accumulator()
         self._slack = _SLACK * self.total
         # auxiliary bound: the smallest grid exponent q < p with a finite power sum
         grid = ((p * frac, model.weight_power_sum(p * frac)) for frac in (0.125, 0.25, 0.5, 0.75, 0.875))
         self._aux = next(((q, t) for q, t in grid if math.isfinite(t)), None)
+        self._q_sums = np.zeros(1)  # q_sums[i]: sequential sum of the first i auxiliary powers
         self._close = (_TIGHT / (1.0 - _TIGHT)) ** (1.0 / p)  # share of the window norm
-        # last window: start, end, head weight, scaled suffix sums, bound past it (root), capped
-        self._window: tuple = (0, 0, 1.0, None, 0.0, False)
+        # (start, last position served) -> (start, end, head weight, scaled suffix sums,
+        # bound past the end (root), capped), for the latest few windows
+        self._windows: dict = {}
 
     def tail(self, n: int) -> float:
         if n < 0:
@@ -350,14 +385,10 @@ class _TailNorms:
         if math.isinf(self.exponent):
             weights = self.stream.weights(n + 1)
             return float(weights[n]) if len(weights) > n else 0.0
-        sums = self._sums
-        if n >= len(sums):
-            weights = self.stream.weights(n)
-            p = self.exponent
-            sums += self._acc.running([lam ** p for lam in weights[len(sums) - 1 :].tolist()])
-            if len(weights) < n:  # the stream ends before n: nothing remains
-                return 0.0
-        remainder = self.total - sums[n]
+        self._extend(n)
+        if len(self._sums) <= n:  # the stream ends before n: nothing remains
+            return 0.0
+        remainder = self.total - float(self._sums[n])
         if remainder < -_CLAMP * max(self.total, 1.0):
             raise ArithmeticError(
                 f"tail power sum went negative beyond round-off at n={n}: {remainder!r}"
@@ -368,6 +399,35 @@ class _TailNorms:
             root = min(root, self._windowed(n))
         return root
 
+    def floors(self, n: int, cap: int) -> np.ndarray:
+        """Lower bounds of ``tail(m)`` for ``m`` from ``n`` up to ``cap`` or the last entry enumerated.
+
+        Empty when ``n`` is at the cap or at the end of the stream.  At an
+        infinite exponent they are the tails themselves.  At a finite ``p``
+        the exact ``tail(m)**p`` is at least the powers of the enumerated
+        weights past ``m`` and at least the subtraction less twice its slack;
+        each is rounded down, as is the root, so no floor exceeds ``tail(m)``.
+        """
+        if n >= cap:
+            return np.empty(0)
+        ahead = self.stream.enumerated()
+        if len(ahead) <= n:
+            self.stream.weights(n + 1)  # the stream grows as its own requests make it
+            ahead = self.stream.enumerated()
+        hi = min(cap, len(ahead))
+        if hi <= n:
+            return np.empty(0)
+        if math.isinf(self.exponent):
+            return ahead[n:hi]
+        self._extend(len(ahead))
+        # a sum of count positive powers, each within two ulps, errs by under (count + 2) ulps
+        inside = np.cumsum(self._powers[n:][::-1])[::-1][: hi - n]
+        inside *= 1.0 - (len(ahead) - np.arange(n, hi) + 2) * _EPS
+        power = np.maximum(inside, (self.total - self._sums[n:hi]) - 2.0 * self._slack)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = power ** (1.0 / self.exponent)
+            return np.where(root > 0.0, root * (1.0 - (4.0 + 2.0 * np.abs(np.log(root))) * _EPS), 0.0)
+
     def block_norm(self, spec: TrackingConeSpec, j: int) -> float:
         """``block_weight_norm`` of block ``j``, computed once per spec and block."""
         key = (spec, j)
@@ -376,54 +436,106 @@ class _TailNorms:
             norm = self._blocks[key] = block_weight_norm(self.stream, self.config, spec, j)
         return norm
 
-    def _windowed(self, n: int) -> float:
-        """``(S(n, N) + auxiliary bound at N)**(1/p)`` over a window from ``n``."""
+    def _extend(self, count: int) -> None:
+        """Power sums over the first ``count`` entries, or over twice as many as before if enumerated."""
+        have = len(self._sums) - 1
+        if count <= have:
+            return
+        self.stream.weights(count)
+        new = self.stream.enumerated()[have : max(count, 2 * have)]
+        if not len(new):
+            return
         p = self.exponent
-        start, end, head, suffix, rest, capped = self._window
-        scaled = float(suffix[n - start]) if start <= n < end else 0.0  # S(n, end) / head**p
-        # serve from the last window while it stays tight for n; a capped one
-        # may not grow, so it serves as it is (certified, if loose)
+        powers = new ** p
+        self._powers = np.concatenate((self._powers, powers))
+        self._sums = np.concatenate((self._sums, self._acc.running(powers)))
+        if self._aux is not None:
+            q_powers = np.concatenate((self._q_sums[-1:], new ** self._aux[0]))
+            self._q_sums = np.concatenate((self._q_sums, np.add.accumulate(q_powers)[1:]))
+
+    def _windowed(self, n: int) -> float:
+        """``(S(n, N) + auxiliary bound at N)**(1/p)`` over the window that serves ``n``."""
+        if len(self.stream.weights(n + 1)) == n:
+            return 0.0
+        width = min(1 << max(0, n.bit_length() - _CELL_BITS), _CELL_WIDTH)
+        start = n - n % width
+        value = self._serve(self._window(start, start + width - 1), n)
+        if value is None:  # the cell's window is loose at n: n gets its own
+            value = self._serve(self._window(n, n), n)
+        return value
+
+    def _serve(self, window: tuple, n: int) -> Optional[float]:
+        """The window's value at ``n``, or None where it is not within ``_TIGHT`` of it."""
+        p = self.exponent
+        start, end, head, suffix, rest, capped = window
+        scaled = float(suffix[n - start])  # S(n, end) / head**p
+        # a capped window may not grow, so it serves as it is (certified, if loose)
         if scaled < _NORMAL or not (capped or rest <= self._close * head * scaled ** (1.0 / p)):
-            if len(self.stream.weights(n + 1)) == n:
-                return 0.0
-            # a later n never closes earlier, so the search resumes at the old end
-            window = self._grow(n, end if start <= n < end else n + 1)
-            self._window = start, end, head, suffix, rest, capped = window
-            scaled = float(suffix[0])
+            return None
         # each of the end - n terms is within (p/2 + 1) ulps, their sum within end - n ulps
         norm = head * _pow_up(scaled * (1.0 + (end - n + p + 2) * _EPS), 1.0 / p)
         top = max(norm, rest)
         return top * _pow_up((norm / top) ** p + (rest / top) ** p, 1.0 / p) * _ROOT_SLACK
 
-    def _grow(self, n: int, end: int) -> tuple:
-        """Window from ``n`` closing at or after ``end``, with its reverse cumulative sums."""
+    def _window(self, start: int, last: int) -> tuple:
+        """The window from ``start`` that serves positions up to ``last``, from the memo if kept."""
+        key = (start, last)
+        window = self._windows.get(key)
+        if window is None:
+            window = self._windows[key] = self._grow(start, last)
+            if len(self._windows) > _WINDOW_MEMO:
+                del self._windows[next(iter(self._windows))]
+        return window
+
+    def _grow(self, start: int, last: int) -> tuple:
+        """Window from ``start`` closing at the first scheduled end past ``last`` that serves ``last``.
+
+        The scheduled ends are screened together over the entries enumerated,
+        with the forward sums of the window's powers, and the first that
+        passes is confirmed with the reverse sums the window serves from.
+        """
         p, stream = self.exponent, self.stream
         q, q_total = self._aux
-        weights = stream.weights(end + 1)
-        head = float(weights[n])
-        cap = n + _WINDOW_CAP
         lift = (p - q) / p  # within an ulp, where 1 - q/p could be off by 8
-        scaled = float(((weights[n:end] / head) ** p).sum())
-        q_sum = float((weights[:end] ** q).sum())
+        head = float(stream.weights(start + 1)[start])
+        ends = start + _WINDOW_ENDS[_WINDOW_ENDS > last - start]
+        cap = start + _WINDOW_CAP
+        forward = np.zeros(1)  # forward[i]: S(start, start + i) / head**p
+        i = 0
         while True:
-            if len(weights) <= end:  # the stream ends here: nothing remains past it
-                end, rest, capped = len(weights), 0.0, False
-                break
+            ahead = stream.enumerated()
+            if len(ahead) <= ends[i]:
+                ahead = stream.weights(int(ends[i]) + 1)
+                if len(ahead) <= ends[i]:  # the stream ends here: nothing remains past it
+                    return self._closed(start, len(ahead), head, 0.0, False)
+                ahead = stream.enumerated()
+            j = int(np.searchsorted(ends, len(ahead)))  # ends[i:j] have a weight past them
+            top = int(ends[j - 1])
+            self._extend(top + 1)
+            new = (ahead[start + len(forward) - 1 : top] / head) ** p
+            forward = np.concatenate((forward, np.add.accumulate(np.concatenate((forward[-1:], new)))[1:]))
+            candidates = ends[i:j]
+            # an estimate first, made a little lenient; the window built is then checked exactly
+            scaled = forward[candidates - start] - forward[last - start]
             # the first end q-powers are within an ulp each and sum to within
-            # end - 1 ulps of q_sum, in any order of summation
-            q_left = max(q_total * (1.0 + _SLACK) - q_sum * (1.0 - (end + 1) * _EPS), 0.0)
-            rest = _pow_up(float(weights[end]), lift) * _pow_up(q_left, 1.0 / p) * _ROOT_SLACK
-            capped = end >= cap
-            if capped or rest <= self._close * head * scaled ** (1.0 / p):
-                break
-            # a quarter at a time: at most a quarter lies past the closing position
-            grown = min(end + max(1, (end - n) // 4), cap)
-            weights = stream.weights(grown + 1)
-            grown = min(grown, len(weights))
-            scaled += float(((weights[end:grown] / head) ** p).sum())
-            q_sum += float((weights[end:grown] ** q).sum())
-            end = grown
-        return n, end, head, np.cumsum(((weights[n:end] / head) ** p)[::-1])[::-1], rest, capped
+            # end - 1 ulps of q_sums[end], in any order of summation
+            q_left = q_total * (1.0 + _SLACK) - self._q_sums[candidates] * (1.0 - (candidates + 1) * _EPS)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rest = ahead[candidates] ** lift * np.maximum(q_left, 0.0) ** (1.0 / p) * (1.0 - 2.0 ** -20)
+                passes = (rest <= self._close * head * scaled ** (1.0 / p)) | (candidates >= cap)
+            for at in np.flatnonzero(passes).tolist():
+                end = int(candidates[at])
+                left = max(float(q_left[at]), 0.0)
+                rest = _pow_up(float(ahead[end]), lift) * _pow_up(left, 1.0 / p) * _ROOT_SLACK
+                window = self._closed(start, end, head, rest, end >= cap)
+                if end >= cap or self._serve(window, last) is not None:
+                    return window
+            i = j
+
+    def _closed(self, start: int, end: int, head: float, rest: float, capped: bool) -> tuple:
+        """The window ``start..end-1`` with its reverse cumulative sums, the form it serves from."""
+        scaled = (self.stream.weights(end)[start:end] / head) ** self.exponent
+        return start, end, head, np.cumsum(scaled[::-1])[::-1], rest, capped
 
 
 def tail_weight_norm(
@@ -471,11 +583,28 @@ def _stop_bound(tails: _TailNorms, scale: float, tolerance: float, n: int, cap: 
 
 
 def _scan(tails: _TailNorms, scale: float, tolerance: float, start: int, cap: int) -> Tuple[int, float]:
-    """First stop ``n >= start`` of a rule whose scale stays fixed, and its bound."""
+    """First stop ``n >= start`` of a rule whose scale stays fixed, and its bound.
+
+    A position whose tail floor times the scale exceeds the tolerance cannot
+    stop, so ``_stop_bound`` decides only the others (a NaN product among
+    them), in order.  After a position that does not stop, the floors are
+    formed afresh once the stream has grown, as they tighten with it.
+    """
     n = start
-    while (bound := _stop_bound(tails, scale, tolerance, n, cap)) is None:
-        n += 1
-    return n, bound
+    while True:
+        floors = tails.floors(n, cap)
+        if not len(floors):  # at the cap or the end of the stream, where the rule stops
+            return n, _stop_bound(tails, scale, tolerance, n, cap)
+        seen = len(tails.stream.enumerated())
+        with np.errstate(invalid="ignore"):
+            survivors = np.flatnonzero(~(scale * floors > tolerance)) + n
+        n += len(floors)
+        for m in survivors.tolist():
+            if (bound := _stop_bound(tails, scale, tolerance, m, cap)) is not None:
+                return m, bound
+            if len(tails.stream.enumerated()) > seen:
+                n = m + 1
+                break
 
 
 def _least_stop(
@@ -627,11 +756,20 @@ def approximate_on_pilot_cone(
         power_acc.running(r ** p for r in ratios)
         pilot_sum = power_acc.value
         violated = False
+        floors: list = []  # tail floors from position lo on, as in _scan
+        lo = seen = n
         while True:
             root, bad = _pilot_bracket_root(p, spec.inflation, pilot_sum, power_acc.value)
             violated = violated or bad
-            if (bound := _stop_bound(tails, pilot_norm * root, tolerance, n, budget_cap)) is not None:
-                break
+            scale = pilot_norm * root
+            if n - lo >= len(floors):
+                floors, lo = tails.floors(n, budget_cap).tolist(), n
+                seen = len(stream.enumerated())
+            if n - lo == len(floors) or not scale * floors[n - lo] > tolerance:
+                if (bound := _stop_bound(tails, scale, tolerance, n, budget_cap)) is not None:
+                    break
+                if len(stream.enumerated()) > seen:
+                    floors = []
             k, lam = stream.entry(n)
             coef = oracle.query(k)
             terms.append((k, coef))
@@ -709,8 +847,8 @@ def pilot_necessary_check(
     if math.isinf(p):
         sums = max(pilot, default=0.0), max(ratios, default=0.0)
     else:
-        running = [0.0] + _Accumulator().running(r ** p for r in ratios)
-        sums = running[len(pilot)], running[-1]
+        running = np.concatenate(((0.0,), _Accumulator().running(r ** p for r in ratios)))
+        sums = float(running[len(pilot)]), float(running[-1])
     return not _pilot_bracket_root(p, spec.inflation, *sums)[1]
 
 

@@ -144,6 +144,15 @@ class WavenumberStream:
             count = self._fill(count)  # may reallocate the buffer, so fill before slicing
         return self._weights_view[:count]
 
+    def enumerated(self) -> np.ndarray:
+        """Read-only view of every weight enumerated so far, served or not.
+
+        Enumeration runs ahead of the requests by whole bands, so a reader may
+        look this far ahead without enumerating anything; ``emitted_count``
+        does not count the look.
+        """
+        return self._weights_view[: self._count]
+
     def __iter__(self) -> Iterator[Entry]:
         index = 0
         while len(self.weights(index + 1)) > index:

@@ -107,8 +107,11 @@ class CoefficientOracle:
 
     @classmethod
     def from_table(cls, table: Mapping[Sequence[int], float], default: float = 0.0) -> "CoefficientOracle":
+        """The coefficient at ``k`` is ``table[k]``, ``default`` off it; a batch is one pass of lookups."""
         fixed = {tuple(int(v) for v in k): float(c) for k, c in table.items()}
-        return cls(lambda k: fixed.get(k, default))
+        oracle = cls(lambda k: fixed.get(k, default))
+        oracle._batch = lambda rows: np.array([fixed.get(k, default) for k in zip(*rows.T.tolist())])
+        return oracle
 
     @classmethod
     def from_function(cls, fn: Callable[[Wavenumber], float]) -> "CoefficientOracle":
@@ -159,8 +162,11 @@ class CoefficientOracle:
         fresh = {k: i for i, k in enumerate(keys) if k not in memo}
         if fresh:
             values = self._batch(rows[list(fresh.values())])
-            for k, value in zip(fresh, values.tolist()):
-                memo[k] = _finite_real(k, value)
+            if values.dtype == np.float64 and np.isfinite(values).all():
+                memo.update(zip(fresh, values.tolist()))
+            else:
+                for k, value in zip(fresh, values.tolist()):
+                    memo[k] = _finite_real(k, value)
         return [(k, memo[k]) for k in keys]
 
 

@@ -3,8 +3,9 @@
 At an infinite ratio exponent the pilot rule finds its stop from the tail
 norms alone and then samples the whole extension in one batch.  A copy of
 the one-query-per-step loop it replaced is kept below as the reference:
-every outcome field, the oracle's memo and the sequence of tail-norm calls
-must match it exactly.
+every outcome field and the oracle's memo must match it exactly, and the
+rule's tail-norm calls must be some of the reference's, in its order, ending
+at the same position.
 """
 
 import math
@@ -183,7 +184,11 @@ def test_pilot_rule_equals_the_one_query_per_step_loop(case, kind):
     assert got.final_error_bound.hex() == want.final_error_bound.hex()
     assert (got.stopped_by, got.cone_violated) == (want.stopped_by, want.cone_violated)
     assert [(k, c.hex()) for k, c in got_memo] == [(k, c.hex()) for k, c in want_memo]
-    assert got_calls == want_calls
+    # the rule screens positions that cannot stop, so it asks for some of the
+    # reference's tail norms only, in order, and for the same last one
+    remaining = iter(want_calls)
+    assert all(n in remaining for n in got_calls)
+    assert got_calls[-1:] == want_calls[-1:]
 
 
 @settings(max_examples=200, deadline=None)

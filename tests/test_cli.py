@@ -265,9 +265,7 @@ def test_diagnose_full_report(run):
 
 def test_diagnose_tracking_ceiling_on_slow_decay(run):
     # slow weight and cone decay: the ceiling lies past the tracking tail
-    # norm's 65,536-entry walk guard, so it comes from the loose remainder
-    # bound, and at 1e-3 it lies past the budget and reads null (the library
-    # test takes that case; here the ball cost alone would scan 740,858 entries)
+    # norm's 65,536-entry walk guard, so it comes from the loose remainder bound
     cfg = {
         "model": {"d": 2, "w": [0.9, 0.7], "s": {"kind": "algebraic", "r": 1.2}},
         "space": {"ratio_exponent": 2.0, "solution_exponent": 1.0},
@@ -277,6 +275,23 @@ def test_diagnose_tracking_ceiling_on_slow_decay(run):
     code, out, _ = run(["diagnose"], cfg)
     assert code == 0
     assert json.loads(out)["tracking"] == {"cost": {"block": 15, "samples": 32768}}
+
+
+def test_diagnose_ball_cost_deep_in_a_slowly_decaying_stream(run):
+    # the ball cost scans 740,858 positions, screening the ones that cannot
+    # stop; the tracking ceiling lies past the budget and reads null
+    cfg = {
+        "model": {"d": 2, "w": [0.9, 0.7], "s": {"kind": "algebraic", "r": 1.2}},
+        "space": {"ratio_exponent": 2.0, "solution_exponent": 1.0},
+        "radius": 1.0,
+        "tolerance": 1e-3,
+        "tracking": {"start": 1, "inflation": 1.5, "decay": 0.9},
+    }
+    code, out, _ = run(["diagnose"], cfg)
+    assert code == 0
+    report = json.loads(out)
+    assert report["ball"] == {"cost": 740858}
+    assert report["tracking"] == {"cost": None}
 
 
 @pytest.mark.parametrize("radius", [-1.0, 0.0, float("inf")])
