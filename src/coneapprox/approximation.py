@@ -871,7 +871,7 @@ def block_weight_norm(
 ) -> float:
     """Tail_exponent-norm of the weights inside block ``j``."""
     lo, hi = spec.block_range(j)
-    return seq_norm(stream.weights(hi)[lo:].tolist(), config.tail_exponent)
+    return seq_norm(stream.weights(hi)[lo:], config.tail_exponent)
 
 
 def tracking_tail_norm(

@@ -37,7 +37,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .weights import WeightModel
+from .weights import AlgebraicDecay, WeightModel
 
 __all__ = ["StreamExhausted", "WavenumberStream", "brute_force_order", "write_prefix_csv"]
 
@@ -70,6 +70,9 @@ def _canonical(gammas: np.ndarray, columns: Sequence[np.ndarray], tables: Sequen
 def _factors(model: WeightModel, axis: int, lo: int, hi: int) -> List[float]:
     """Factors ``w[axis] * s(k)`` for ``lo <= k < hi``, as ``WeightModel.weight`` forms them."""
     w, decay = model.coordinate_weights[axis], model.decay
+    if type(decay) is AlgebraicDecay and lo >= 1:  # the same products, without a call per factor
+        e = -decay.rate
+        return [w * k ** e for k in map(float, range(lo, hi))]
     return [w * decay.value(k) for k in range(lo, hi)]
 
 

@@ -75,7 +75,10 @@ def seq_norm(values: Iterable[float], exponent: float) -> float:
     """``l^exponent`` norm of a finite real sequence (0 for an empty one)."""
     if exponent < 1.0:
         raise ValueError("sequence norms need exponent >= 1")
-    vals = [abs(float(v)) for v in values]
+    if isinstance(values, np.ndarray):  # one pass in numpy, the same floats as below
+        vals = np.abs(values.astype(float, copy=False)).tolist()
+    else:
+        vals = [abs(float(v)) for v in values]
     if not vals:
         return 0.0
     if math.isinf(exponent):
@@ -86,7 +89,7 @@ def seq_norm(values: Iterable[float], exponent: float) -> float:
     if top == 0.0:
         return 0.0
     # scale out the peak so large exponents do not overflow
-    return top * math.fsum((v / top) ** exponent for v in vals) ** (1.0 / exponent)
+    return top * math.fsum([(v / top) ** exponent for v in vals]) ** (1.0 / exponent)
 
 
 class CoefficientOracle:

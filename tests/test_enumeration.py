@@ -193,6 +193,18 @@ def test_weight_buffer_matches_entries(rng):
     assert (after[:64] == before).all()  # a view from before it still reads the same rows
 
 
+def test_algebraic_factors_are_the_decay_values_bit_for_bit(rng):
+    from coneapprox.enumeration import _factors
+
+    for _ in range(20):
+        model = random_model(rng, min_rate=0.3)
+        for axis, w in enumerate(model.coordinate_weights):
+            lo = rng.randint(1, 5000)
+            want = [w * model.decay.value(k) for k in range(lo, lo + 300)]
+            got = _factors(model, axis, lo, lo + 300)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 def test_zero_weights_never_emitted(rng):
     model = WeightModel(
         dimension=3,

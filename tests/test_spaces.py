@@ -75,6 +75,20 @@ def test_seq_norm_scales(rng):
         )
 
 
+def test_seq_norm_of_an_array_is_the_list_norm_bit_for_bit(rng):
+    import numpy as np
+
+    for _ in range(20):
+        vals = [rng.uniform(-2, 2) * 10.0 ** rng.randint(-300, 300) for _ in range(rng.randint(0, 200))]
+        vals += [0.0, -0.0]
+        rng.shuffle(vals)
+        for p in [1.0, 1.7, 2.0, 3.0, math.inf]:
+            want = seq_norm(vals, p).hex()
+            assert seq_norm(np.array(vals), p).hex() == want
+            assert seq_norm(iter(vals), p).hex() == want
+    assert seq_norm(np.array([3, -4]), 2.0) == seq_norm([3.0, 4.0], 2.0)  # integers as floats
+
+
 # --- oracle cost accounting -------------------------------------------------
 
 def test_oracle_counts_distinct_queries():
