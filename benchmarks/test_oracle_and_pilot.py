@@ -13,6 +13,10 @@ function is the harness's ``d = 7, seed = 0``, whose coefficient box
   in one ``query_rows`` batch, for a table oracle over the box and for the
   box oracle ``from_array`` (the oracle and the rows are built outside the
   timing);
+* ``test_table_batch_mostly_off_the_table``: one ``query_rows`` batch of the
+  same 10**4 rows on a fresh table oracle that holds only the first 64 of
+  them, so that almost every row takes the default, as in the pilot
+  workload's members;
 * ``test_pilot_rule_on_the_fitted_model``: ``approximate_on_pilot_cone`` at
   space ``(inf, 1)`` and tolerance 1e-3, on the model the pipeline fits to
   the function's probes, with the pipeline's pilot size and the harness
@@ -80,6 +84,18 @@ def test_oracle_queries(benchmark, box, source, read):
 
     values = benchmark.pedantic(run, setup=lambda: ((fresh(),), {}), rounds=5)
     assert values == [float(box[k]) if max(k) < box.shape[0] else 0.0 for k in keys]
+
+
+def test_table_batch_mostly_off_the_table(benchmark, box):
+    rows = WavenumberStream(make_random_function(D, SEED).model).rows(QUERIES)
+    keys = list(zip(*rows.T.tolist()))
+    table = {k: float(box[k]) for k in keys[:64]}
+
+    def run(oracle):
+        return [c for _, c in oracle.query_rows(rows)]
+
+    values = benchmark.pedantic(run, setup=lambda: ((CoefficientOracle.from_table(table),), {}), rounds=20)
+    assert values == [table.get(k, 0.0) for k in keys]
 
 
 def test_pilot_rule_on_the_fitted_model(benchmark, box):

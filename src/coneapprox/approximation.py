@@ -771,7 +771,7 @@ def approximate_on_pilot_cone(
                 if len(stream.enumerated()) > seen:
                     floors = []
             k, lam = stream.entry(n)
-            coef = oracle.query(k)
+            coef = oracle.query_key(k)
             terms.append((k, coef))
             power_acc.add((abs(coef) / lam) ** p)
             n += 1

@@ -51,6 +51,10 @@ _NORMAL = 2.0 ** -900  # times the squared weight ceiling: below it rounding is 
 _ALPHA = 0.5  # assumed log-log slope of the weight count before two bands measure it
 _ALPHA_MIN, _ALPHA_MAX = 0.05, 8.0  # the slopes an extrapolation may use
 _COLLAPSE = 2.0 ** -30  # a threshold bracket this narrow (relative) holds a tie: take it whole
+# shared starting arrays of every stream, never written: a fresh stream only points at them
+_ONE, _NONE, _NO_AXIS = np.ones(1), np.empty(0), np.zeros(1, np.intp)
+for _start in (_ONE, _NONE, _NO_AXIS):
+    _start.flags.writeable = False
 
 
 class StreamExhausted(IndexError):
@@ -104,9 +108,9 @@ class WavenumberStream:
         self._boosts = [tuple(b for b in boost[axis + 1 :] if b != 1.0) for axis in range(d)]
         self._reach = [math.prod(boost[axis + 1 :]) for axis in range(d)]
         self._ceiling = 2.0 * math.prod(boost)  # above every weight, as gamma <= 1
-        self._gamma = np.asarray(model.interaction_weights)
-        self._tables = [np.ones(1) for _ in range(d)]  # 1.0, then the positive factors w * s(k)
-        self._negated = [np.empty(0) for _ in range(d)]  # -table[1:], ascending for searchsorted
+        self._next_gamma = np.asarray(model.interaction_weights[1:])  # gamma[a + 1] for a active axes
+        self._tables = [_ONE] * d  # 1.0, then the positive factors w * s(k)
+        self._negated = [_NONE] * d  # -table[1:], ascending for searchsorted
         self._complete = [False] * d  # the table holds every positive factor of its axis
         self._floor = math.inf  # every wavenumber weighing at least this is enumerated
         self._bands: List[Tuple[float, int]] = []  # (floor, entries enumerated) after each band
@@ -122,11 +126,13 @@ class WavenumberStream:
 
     def entry(self, index: int) -> Entry:
         """The ``index``-th emission (0-based); raises StreamExhausted past the end."""
-        if index >= self._served or index < 0:
-            if index < 0:
-                raise IndexError("stream entries are indexed from 0")
-            if self._fill(index + 1) <= index:
+        if index >= self._served:
+            if index < self._count:  # enumerated already: serving it is a count
+                self._served = index + 1
+            elif self._fill(index + 1) <= index:
                 raise StreamExhausted("weight stream exhausted: remaining weights are all zero")
+        elif index < 0:
+            raise IndexError("stream entries are indexed from 0")
         return tuple(self._rows[index].tolist()), float(self._weights[index])
 
     def prefix(self, count: int) -> List[Entry]:
@@ -270,16 +276,15 @@ class WavenumberStream:
 
     def _scan_unguarded(self, tau, hi, limit):
         d = self.model.dimension
-        gamma = self._gamma
         # Above this every product that can reach tau is a normal float, so rounding moves
         # it far less than _WIDEN and the widened estimates need no check.
         normal = tau >= _NORMAL * self._ceiling ** 2
         columns: List[np.ndarray] = []
-        active = np.zeros(1, np.intp)
-        g = np.ones(1)  # canonical weight of each partial wavenumber, later axes zero
+        active = _NO_AXIS  # active axes of each partial wavenumber
+        g = _ONE  # canonical weight of each partial wavenumber, later axes zero
         for axis in range(d):
             last = axis == d - 1
-            h = _canonical(gamma[active + 1], columns, self._tables)  # prefix once the axis activates
+            h = _canonical(self._next_gamma[active], columns, self._tables)  # prefix once the axis activates
             # -(tau / bound), widened: degrees 1..top may keep a partial above tau
             lowered = (tau * (_WIDEN - 1.0)) / (h * self._reach[axis])
             table = self._cover(axis, 2, -float(lowered.max()), limit)
@@ -293,7 +298,7 @@ class WavenumberStream:
             for b in self._boosts[axis]:
                 bound = bound * b
             zero = bound >= tau  # the axis left at degree 0
-            bottom = 0
+            runs = top  # how many degrees past 0 each partial takes: bottom+1..top, bottom 0 off a last axis
             if last and hi < math.inf:
                 # degrees 1..bottom weigh at least hi: enumerated in an earlier band
                 zero &= g < hi
@@ -303,7 +308,8 @@ class WavenumberStream:
                     if not short.any():
                         break
                     bottom = bottom - short
-            counts = zero + (top - bottom)
+                runs = top - bottom
+            counts = runs + zero
             ends = np.add.accumulate(counts)
             total = int(ends[-1])
             # a partial weighing tau or more is itself a wavenumber of weight tau or more:
@@ -312,23 +318,28 @@ class WavenumberStream:
                 return None
             if not total:
                 return np.empty((0, d), np.int32), np.empty(0)
-            starts = ends - counts
             parent = np.arange(len(counts)).repeat(counts)
-            # each partial's degrees: 0 if it may stay inactive, then bottom+1..top
-            k = np.arange(total) - (starts - (bottom + 1 - zero)).repeat(counts)
-            firsts = starts[zero]
+            # each partial's degrees: 0 if it may stay inactive, then bottom+1..top, ending at top
+            k = np.arange(total) - (ends - (top + 1)).repeat(counts)
+            firsts = (ends - counts)[zero]
             k[firsts] = 0
             lam = h[parent] * table[k]
             lam[firsts] = g[zero]
-            columns = [c[parent] for c in columns] + [k]
             if last:
-                keep = (lam >= tau) & (lam < hi)
-                lam = lam[keep]
+                keep = lam >= tau
+                if hi < math.inf:
+                    keep &= lam < hi
+                kept = keep.nonzero()[0]
+                lam = lam[kept]
                 order = (-lam).argsort(kind="stable")  # candidates are in lexicographic order
-                rows = np.empty((len(lam), d), np.int32)
+                kept = kept[order]
+                rows = np.empty((len(kept), d), np.int32)
+                head = parent[kept]  # the kept rows' partials
                 for index, c in enumerate(columns):
-                    rows[:, index] = c[keep][order]
+                    rows[:, index] = c[head]
+                rows[:, axis] = k[kept]
                 return rows, lam[order]
+            columns = [c[parent] for c in columns] + [k]
             active = active[parent] + 1
             active[firsts] -= 1
             g = lam

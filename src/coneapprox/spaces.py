@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import filterfalse, repeat
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,7 +98,8 @@ class CoefficientOracle:
 
     Wraps a ``wavenumber -> coefficient`` callable, and optionally a
     vectorised evaluator taking an integer array of wavenumber rows to their
-    coefficients.  Every distinct wavenumber is evaluated once, whether by
+    coefficients, or a table's lookup taking a list of wavenumbers to theirs.
+    Every distinct wavenumber is evaluated once, whether by
     ``query`` or ``query_rows``; the counter reports how many distinct
     queries have been made, which is the information cost charged to the
     adaptive algorithms.
@@ -106,14 +108,17 @@ class CoefficientOracle:
     def __init__(self, fn: Callable[[Wavenumber], float]):
         self._fn = fn
         self._batch: Optional[Callable[[np.ndarray], np.ndarray]] = None  # the vectorised evaluator
+        self._lookup: Optional[Callable[[List[Wavenumber]], List[float]]] = None  # a table's batch of keys
         self._memo: Dict[Wavenumber, float] = {}
 
     @classmethod
     def from_table(cls, table: Mapping[Sequence[int], float], default: float = 0.0) -> "CoefficientOracle":
         """The coefficient at ``k`` is ``table[k]``, ``default`` off it; a batch is one pass of lookups."""
-        fixed = {tuple(int(v) for v in k): float(c) for k, c in table.items()}
-        oracle = cls(lambda k: fixed.get(k, default))
-        oracle._batch = lambda rows: np.array([fixed.get(k, default) for k in zip(*rows.T.tolist())])
+        fixed = {tuple(map(int, k)): float(c) for k, c in table.items()}
+        default = float(default)
+        get = fixed.get
+        oracle = cls(lambda k: get(k, default))
+        oracle._lookup = lambda keys: list(map(get, keys, repeat(default)))
         return oracle
 
     @classmethod
@@ -145,32 +150,46 @@ class CoefficientOracle:
         return len(self._memo)
 
     def query(self, wavenumber: Sequence[int]) -> float:
-        k = tuple(int(v) for v in wavenumber)
-        if k in self._memo:
-            return self._memo[k]
-        value = self._memo[k] = _finite_real(k, self._fn(k))
+        return self.query_key(tuple(map(int, wavenumber)))
+
+    def query_key(self, k: Wavenumber) -> float:
+        """``query`` of a wavenumber already a tuple of Python ints, as stream entries are."""
+        value = self._memo.get(k)
+        if value is None:
+            value = self._memo[k] = _finite_real(k, self._fn(k))
         return value
 
     def query_rows(self, rows: np.ndarray) -> List[Tuple[Wavenumber, float]]:
         """``(wavenumber, coefficient)`` per row of an integer array, in row order.
 
         Memo and cost as for ``query``: the wavenumbers not yet queried go to
-        the vectorised evaluator in one call, each once; without one, each
-        row is a ``query``.
+        the table or the vectorised evaluator in one call, each once; without
+        either, each is a ``query``.
         """
         keys = list(zip(*rows.T.tolist()))  # one tuple of ints per row
-        if self._batch is None:
-            return [(k, self.query(k)) for k in keys]
         memo = self._memo
-        fresh = {k: i for i, k in enumerate(keys) if k not in memo}
+        fresh = list(filterfalse(memo.__contains__, dict.fromkeys(keys)))  # each new key once, in row order
         if fresh:
-            values = self._batch(rows[list(fresh.values())])
-            if values.dtype == np.float64 and np.isfinite(values).all():
-                memo.update(zip(fresh, values.tolist()))
+            if self._lookup is not None:
+                values = self._lookup(fresh)
+                checked = all(map(math.isfinite, values))
+            elif self._batch is not None:
+                if len(fresh) < len(keys):
+                    last = dict(zip(keys, range(len(keys))))  # a row of each key
+                    rows = rows[list(map(last.__getitem__, fresh))]
+                array = self._batch(rows)
+                checked = array.dtype == np.float64 and np.isfinite(array).all()
+                values = array.tolist()
             else:
-                for k, value in zip(fresh, values.tolist()):
+                values, checked = map(self._fn, fresh), False
+            if checked:
+                memo.update(zip(fresh, values))
+                if len(fresh) == len(keys):  # every row a new key: the values are in row order
+                    return list(zip(keys, values))
+            else:
+                for k, value in zip(fresh, values):
                     memo[k] = _finite_real(k, value)
-        return [(k, memo[k]) for k in keys]
+        return list(zip(keys, map(memo.__getitem__, keys)))
 
 
 def _finite_real(k: Wavenumber, value) -> float:

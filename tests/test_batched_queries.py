@@ -311,3 +311,137 @@ def test_batch_rejects_a_value_that_is_not_a_finite_real(bad, vectorised):
         oracle.query((1,))
     assert oracle.query((0,)) == 1.0
     assert oracle.cost == 1  # the values after the bad one are not kept, as row-by-row queries would not
+
+
+# --- the table oracle: one lookup pass against row-by-row queries --------------
+
+
+def _row_by_row(oracle, rows):
+    """``query_rows`` as a loop of ``query``; on a raise, the pairs made so far and the error."""
+    pairs = []
+    try:
+        for row in rows.tolist():
+            pairs.append((tuple(row), oracle.query(row)))
+    except ValueError as error:
+        return pairs, str(error)
+    return pairs, None
+
+
+def _batched(oracle, rows):
+    try:
+        return oracle.query_rows(rows), None
+    except ValueError as error:
+        return None, str(error)
+
+
+def _memo(oracle):
+    return [(k, c.hex()) for k, c in oracle._memo.items()]
+
+
+@st.composite
+def _table_batches(draw):
+    """A table over a small box (some keys off it), a default, earlier queries and a batch.
+
+    The batch repeats rows and reuses keys already queried; a non-finite
+    table value or default appears in some draws.
+    """
+    d = draw(st.integers(1, 3))
+    keys = st.tuples(*[st.integers(0, 3)] * d)
+    finite = st.floats(-10.0, 10.0, allow_nan=False)
+    value = st.one_of(finite, st.sampled_from([math.nan, math.inf, -math.inf])) if draw(st.booleans()) else finite
+    table = draw(st.dictionaries(keys, value, max_size=20))
+    default = draw(st.one_of(st.just(0.0), finite, st.just(math.nan)))
+    earlier = draw(st.lists(keys, max_size=6))
+    batch = draw(st.lists(st.one_of(keys, st.sampled_from(earlier or [(0,) * d])), max_size=30))
+    return table, default, earlier, np.array(batch, dtype=np.int32).reshape(len(batch), d)
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=({(0,): 1.0, (2,): math.nan}, 0.0, [(1,)], np.array([[0], [1], [0], [2], [3]], np.int32)))
+@example(case=({(0, 1): math.inf}, 0.5, [(0, 0)], np.array([[0, 0], [3, 3], [0, 1]], np.int32)))
+@given(case=_table_batches())
+def test_table_batch_equals_row_by_row_queries(case):
+    table, default, earlier, rows = case
+    batch, single = (CoefficientOracle.from_table(table, default) for _ in range(2))
+    for oracle in (batch, single):
+        for k in earlier:
+            try:
+                oracle.query(k)
+            except ValueError:
+                pass
+    got, got_error = _batched(batch, rows)
+    want, want_error = _row_by_row(single, rows)
+    assert got_error == want_error
+    if want_error is None:
+        assert [(k, c.hex()) for k, c in got] == [(k, c.hex()) for k, c in want]
+    assert _memo(batch) == _memo(single)
+    assert batch.cost == single.cost
+
+
+def test_table_batch_serves_duplicates_earlier_keys_and_the_default_once_each():
+    oracle = CoefficientOracle.from_table({(0, 0): 1.5, (1, 0): -2.0, (0, 1): 0.25}, default=-0.5)
+    assert oracle.query((0, 1)) == 0.25
+    rows = np.array([[1, 0], [0, 1], [1, 0], [3, 3], [0, 0], [3, 3]], dtype=np.int32)
+    assert oracle.query_rows(rows) == [
+        ((1, 0), -2.0), ((0, 1), 0.25), ((1, 0), -2.0), ((3, 3), -0.5), ((0, 0), 1.5), ((3, 3), -0.5)
+    ]
+    assert list(oracle._memo) == [(0, 1), (1, 0), (3, 3), (0, 0)]
+    assert oracle.cost == 4
+    assert all(type(c) is float for c in oracle._memo.values())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_batch_rejects_a_non_finite_value_where_row_by_row_queries_do(bad):
+    table = {(0,): 1.0, (1,): bad, (2,): 2.0}
+    rows = np.array([[0], [3], [1], [2]], dtype=np.int32)
+    batch, single = CoefficientOracle.from_table(table), CoefficientOracle.from_table(table)
+    with pytest.raises(ValueError, match=r"coefficient at \(1,\) is not a finite real") as got:
+        batch.query_rows(rows)
+    _, want = _row_by_row(single, rows)
+    assert str(got.value) == want
+    assert _memo(batch) == _memo(single) == [((0,), (1.0).hex()), ((3,), (0.0).hex())]
+    # a non-finite default is rejected off the table, as a query rejects it
+    off = CoefficientOracle.from_table({(0,): 1.0}, default=bad)
+    with pytest.raises(ValueError, match=r"coefficient at \(5,\) is not a finite real"):
+        off.query_rows(np.array([[0], [5]], dtype=np.int32))
+    assert off.cost == 1
+
+
+# --- the pilot step's lookup ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1j])
+def test_query_key_is_query_for_a_normalised_key(bad):
+    values = {(0, 1): 0.5, (2, 0): bad}
+    oracles = [CoefficientOracle.from_function(lambda k: values.get(k, 0.0)) for _ in range(2)]
+    if not isinstance(bad, complex):
+        oracles.append(CoefficientOracle.from_table(values))
+    for oracle in oracles:
+        assert oracle.query_key((0, 1)) == 0.5
+        assert oracle.query_key((0, 1)) == oracle.query(np.array([0, 1]))
+        assert oracle.query_key((1, 1)) == 0.0
+        with pytest.raises(ValueError) as got:
+            oracle.query_key((2, 0))
+        with pytest.raises(ValueError) as want:
+            oracle.query((2, 0))
+        assert str(got.value) == str(want.value)
+        assert "coefficient at (2, 0) is not a finite real" in str(got.value)
+        assert list(oracle._memo) == [(0, 1), (1, 1)]
+
+
+def test_finite_exponent_pilot_rule_raises_on_a_non_finite_coefficient_as_the_reference_loop():
+    model = WeightModel(2, (0.5, 0.4), AlgebraicDecay(4.5))
+    space, spec = SpaceConfig(2.0, 1.0), PilotConeSpec(3, 1.4)
+    entries = WavenumberStream(model).prefix(8)
+    table = {k: 0.5 * lam for k, lam in entries}
+    table[entries[5][0]] = math.nan  # after the pilot: only a step of the loop queries it
+    errors, memos = [], []
+    for rule in (approximate_on_pilot_cone, _reference_pilot):
+        oracle = CoefficientOracle.from_table(table)
+        with pytest.raises(ValueError) as error:
+            rule(oracle, WavenumberStream(model), space, model, spec, 1e-12)
+        errors.append(str(error.value))
+        memos.append(_memo(oracle))
+    assert errors[0] == errors[1]
+    assert f"coefficient at {entries[5][0]} is not a finite real" in errors[0]
+    assert memos[0] == memos[1] and len(memos[0]) == 5

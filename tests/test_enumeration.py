@@ -369,3 +369,32 @@ def test_a_slowly_decaying_axis_table_is_grown_in_capped_steps():
     # axis table past a band's candidate limit: the scan aborts and retries
     model = WeightModel(2, (1.0, 1.0), AlgebraicDecay(0.05))
     assert WavenumberStream(model).prefix(3000) == brute_force_order(model, 500, 3000)
+
+
+def _fresh_stream_models(d, count, seed):
+    """Models shaped like the benchmark workloads': decreasing interaction weights, rates 3 to 5."""
+    rng = random.Random(seed)
+    models = []
+    for _ in range(count):
+        gamma = [1.0]
+        for _ in range(d):
+            gamma.append(gamma[-1] * rng.uniform(0.5, 1.0))
+        w = tuple(rng.uniform(0.2, 1.0) for _ in range(d))
+        models.append(WeightModel(d, w, AlgebraicDecay(rng.uniform(3.0, 5.0)), tuple(gamma)))
+    return models
+
+
+@pytest.mark.parametrize("d", (1, 4))
+def test_fresh_streams_match_brute_force_on_short_prefixes(d):
+    # a fresh stream starts from shared read-only arrays; its first bands, its
+    # entries served one at a time and its count must be the exhaustive order's
+    for model in _fresh_stream_models(d, 6, seed=d):
+        want = _reference(model, 200)
+        for count in (1, 7, 32, 200):
+            assert WavenumberStream(model).prefix(count) == want[:count]
+        stream = WavenumberStream(model)
+        for index, entry in enumerate(want):
+            assert stream.entry(index) == entry
+            assert stream.emitted_count == index + 1
+        assert [tuple(k) for k in stream.rows(200).tolist()] == [k for k, _ in want]
+        assert stream.weights(200).tolist() == [lam for _, lam in want]
