@@ -365,7 +365,7 @@ def _screen(dense: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
         return np.ones(total, dtype=bool)
     split = dense.ndim // 2
     matrix = dense.reshape(math.prod(dense.shape[:split]), -1).T
-    block = max(1, 2 ** 20 // (matrix.shape[1] + 2 * matrix.shape[0]))
+    block = max(1, 2 ** 22 // (matrix.shape[1] + 2 * matrix.shape[0]))
     w = np.empty(total)
     for start in range(0, total, block):
         part = [table[:, start : start + block] for table in tables]

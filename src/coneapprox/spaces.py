@@ -168,16 +168,17 @@ class CoefficientOracle:
         """
         keys = list(zip(*rows.T.tolist()))  # one tuple of ints per row
         memo = self._memo
-        fresh = list(filterfalse(memo.__contains__, dict.fromkeys(keys)))  # each new key once, in row order
+        if self._batch is None:
+            fresh = list(filterfalse(memo.__contains__, dict.fromkeys(keys)))  # each new key once, in row order
+        else:
+            index = {k: i for i, k in enumerate(keys) if k not in memo}  # each new key once, with a row of it
+            fresh = list(index)
         if fresh:
             if self._lookup is not None:
                 values = self._lookup(fresh)
                 checked = all(map(math.isfinite, values))
             elif self._batch is not None:
-                if len(fresh) < len(keys):
-                    last = dict(zip(keys, range(len(keys))))  # a row of each key
-                    rows = rows[list(map(last.__getitem__, fresh))]
-                array = self._batch(rows)
+                array = self._batch(rows if len(fresh) == len(keys) else rows[list(index.values())])
                 checked = array.dtype == np.float64 and np.isfinite(array).all()
                 values = array.tolist()
             else:
