@@ -46,7 +46,7 @@ def test_infer_weights(benchmark):
     assert fitted.objective > 0.0
 
 
-def test_tracking_tail_norm(benchmark):
+def test_tracking_tail_norm(benchmark, from_scratch):
     model = WeightModel(3, (1.0, 0.9, 0.81), AlgebraicDecay(3.0))
     space = SpaceConfig(2.0, 1.0)
     spec = TrackingConeSpec(start=1, inflation=1.5, decay=0.6)
@@ -55,5 +55,5 @@ def test_tracking_tail_norm(benchmark):
         stream = WavenumberStream(model)
         return [tracking_tail_norm(space, model, stream, spec, j) for j in range(1, 6)]
 
-    tails = benchmark.pedantic(run, rounds=5)
+    tails = benchmark.pedantic(run, setup=from_scratch, rounds=5)
     assert all(a >= b > 0.0 for a, b in zip(tails, tails[1:]))

@@ -98,7 +98,7 @@ def test_table_batch_mostly_off_the_table(benchmark, box):
     assert values == [table.get(k, 0.0) for k in keys]
 
 
-def test_pilot_rule_on_the_fitted_model(benchmark, box):
+def test_pilot_rule_on_the_fitted_model(benchmark, box, from_scratch):
     space = SpaceConfig(math.inf, 1.0)
     full = CandidateSets.default()
     rates = tuple(r for r in full.rate_grid if r * space.tail_exponent > 1.0)
@@ -116,11 +116,11 @@ def test_pilot_rule_on_the_fitted_model(benchmark, box):
             CoefficientOracle.from_array(box), WavenumberStream(model), space, model, spec, EPS
         )
 
-    outcome = benchmark.pedantic(run, rounds=5)
+    outcome = benchmark.pedantic(run, setup=from_scratch, rounds=5)
     assert outcome.stopped_by == TOLERANCE_MET
 
 
-def test_pilot_rule_at_a_finite_exponent(benchmark):
+def test_pilot_rule_at_a_finite_exponent(benchmark, from_scratch):
     space = SpaceConfig(2.0, 1.0)
     model = WeightModel(2, (0.5, 0.4), AlgebraicDecay(4.5))
     spec = PilotConeSpec(4, 1.4)
@@ -132,12 +132,14 @@ def test_pilot_rule_at_a_finite_exponent(benchmark):
             CoefficientOracle.from_table(table), WavenumberStream(model), space, model, spec, 1e-6
         )
 
-    outcome = benchmark.pedantic(run, rounds=5)
+    outcome = benchmark.pedantic(run, setup=from_scratch, rounds=5)
     assert outcome.stopped_by == TOLERANCE_MET
     assert outcome.n_used == pilot_cost_bound(space, model, spec, seq_norm(ratios, 2.0), 1e-6)
 
 
-def test_ball_cost_bound_deep_in_the_stream(benchmark):
+def test_ball_cost_bound_deep_in_the_stream(benchmark, from_scratch):
     model = WeightModel(2, (0.9, 0.7), AlgebraicDecay(1.2))
-    cost = benchmark.pedantic(ball_cost_bound, (SpaceConfig(2.0, 1.0), model, 1.0, 1e-3), rounds=3)
+    cost = benchmark.pedantic(
+        ball_cost_bound, (SpaceConfig(2.0, 1.0), model, 1.0, 1e-3), setup=from_scratch, rounds=3
+    )
     assert cost == 740858

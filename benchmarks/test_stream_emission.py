@@ -39,9 +39,9 @@ def _models(count: int, seed: int = 1):
 
 
 @pytest.mark.parametrize("d", (1, 3, 7))
-def test_emission_rate(benchmark, d):
+def test_emission_rate(benchmark, from_scratch, d):
     model = WeightModel(d, tuple(0.9 ** i for i in range(d)), AlgebraicDecay(3.0))
-    weights = benchmark.pedantic(lambda: WavenumberStream(model).weights(ENTRIES), rounds=5)
+    weights = benchmark.pedantic(lambda: WavenumberStream(model).weights(ENTRIES), setup=from_scratch, rounds=5)
     assert len(weights) == ENTRIES
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["entries_per_s"] = ENTRIES / benchmark.stats.stats.median

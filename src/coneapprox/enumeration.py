@@ -26,6 +26,15 @@ Each threshold is extrapolated from the counts of the bands before it, so
 that one band usually covers a request.  A band that would hold more than
 twice the entries asked for is not materialised: its threshold is raised
 and the band is enumerated again.
+
+Two streams over equal models emit the same entries, so a stream starts
+from the enumeration of the stream that last finished a band, when that
+stream's model equals its own and it then held at most ``_SHARED_MAX``
+entries.  The rules of one solve (the pilot and the ball rule, say) so
+enumerate a model once.  What the module keeps for this is a snapshot:
+the factor tables, the bands and the buffers, whose entries up to the
+snapshot's count no stream writes again, and past it, streams over equal
+models write the same values.
 """
 
 from __future__ import annotations
@@ -55,6 +64,10 @@ _COLLAPSE = 2.0 ** -30  # a threshold bracket this narrow (relative) holds a tie
 _ONE, _NONE, _NO_AXIS = np.ones(1), np.empty(0), np.zeros(1, np.intp)
 for _start in (_ONE, _NONE, _NO_AXIS):
     _start.flags.writeable = False
+_SHARED_MAX = 2 ** 15  # most entries a stream hands on: the snapshot kept stays within a few MiB
+_GROWN = ("_tables", "_negated", "_complete", "_bands")  # the lists a stream changes in place
+# (model, enumeration state) of the stream that last finished a band within _SHARED_MAX entries
+_shared: Optional[Tuple[WeightModel, dict]] = None
 
 
 class StreamExhausted(IndexError):
@@ -96,11 +109,20 @@ class WavenumberStream:
     ``prefix(n)`` and iteration build ``(wavenumber, weight)`` tuples from
     the arrays on each call.  Enumeration runs ahead of the requests by
     whole bands; ``emitted_count`` counts the entries served, the most that
-    any one request has asked for.
+    any one request has asked for.  A stream over a model equal to that of
+    the stream which last finished a band starts from that enumeration (see
+    the module docstring); it serves nothing until asked, as a fresh one.
     """
 
     def __init__(self, model: WeightModel):
         self.model = model
+        self._served = 0  # entries served
+        shared = _shared
+        if shared is not None and (shared[0] is model or shared[0] == model):
+            vars(self).update(shared[1])
+            for name in _GROWN:
+                setattr(self, name, list(shared[1][name]))
+            return
         d = model.dimension
         s1 = model.head_decay()
         boost = [max(1.0, w * s1) for w in model.coordinate_weights]
@@ -115,7 +137,6 @@ class WavenumberStream:
         self._floor = math.inf  # every wavenumber weighing at least this is enumerated
         self._bands: List[Tuple[float, int]] = []  # (floor, entries enumerated) after each band
         self._count = 0  # entries enumerated
-        self._served = 0  # entries served
         self._exhausted = False
         self._weights = self._weights_view = np.empty(0)  # enumerated weights; a read-only view
         self._rows = self._rows_view = np.empty((0, d), np.int32)  # enumerated wavenumbers; a view
@@ -205,6 +226,16 @@ class WavenumberStream:
         self._floor = tau
         self._bands.append((tau, self._count))
         self._exhausted = tau <= _TINIEST
+        if self._count <= _SHARED_MAX:
+            self._share()
+
+    def _share(self) -> None:
+        """Hand this enumeration on to the next stream built over an equal model."""
+        global _shared
+        state = {name: value for name, value in vars(self).items() if name not in ("model", "_served")}
+        for name in _GROWN:
+            state[name] = tuple(state[name])
+        _shared = (self.model, state)
 
     def _estimate(self, target: int) -> float:
         """Threshold below the floor whose weight count should reach ``target``."""

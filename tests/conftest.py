@@ -12,6 +12,7 @@ from coneapprox import (
     WavenumberStream,
     WeightModel,
 )
+from coneapprox import enumeration
 
 
 def random_model(rng: random.Random, max_dim: int = 4, min_rate: float = 1.5) -> WeightModel:
@@ -49,6 +50,12 @@ def random_space(rng: random.Random) -> SpaceConfig:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+def scratch_stream(model: WeightModel) -> WavenumberStream:
+    """A stream that enumerates from scratch, not from the snapshot an earlier stream left."""
+    enumeration._shared = None
+    return WavenumberStream(model)
 
 
 def stream_entries(model: WeightModel, count: int):

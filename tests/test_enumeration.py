@@ -19,8 +19,9 @@ from coneapprox import (
     brute_force_order,
     write_prefix_csv,
 )
+from coneapprox import enumeration
 
-from conftest import random_model
+from conftest import random_model, scratch_stream
 
 
 def _model_2d():
@@ -303,7 +304,7 @@ def test_interleaved_requests_across_bands(rng):
     # many small requests cut the stream into other bands than one large one
     for model in (_model_2d(), _BOOSTED[2], random_model(rng, max_dim=3)):
         whole = WavenumberStream(model).prefix(3000)
-        stream = WavenumberStream(model)
+        stream = scratch_stream(model)
         served = 0
         for step in range(150):
             n = min(rng.randrange(20 * step + 2), len(whole))
@@ -391,10 +392,51 @@ def test_fresh_streams_match_brute_force_on_short_prefixes(d):
     for model in _fresh_stream_models(d, 6, seed=d):
         want = _reference(model, 200)
         for count in (1, 7, 32, 200):
-            assert WavenumberStream(model).prefix(count) == want[:count]
-        stream = WavenumberStream(model)
+            assert scratch_stream(model).prefix(count) == want[:count]
+        stream = scratch_stream(model)
         for index, entry in enumerate(want):
             assert stream.entry(index) == entry
             assert stream.emitted_count == index + 1
         assert [tuple(k) for k in stream.rows(200).tolist()] == [k for k, _ in want]
         assert stream.weights(200).tolist() == [lam for _, lam in want]
+
+
+def test_a_stream_goes_on_from_the_snapshot_of_an_equal_model():
+    # the stream that last finished a band hands its enumeration on to the next
+    # stream built over an equal model; the two then grow one buffer, each
+    # writing only the entries both emit there
+    model = _BOOSTED[2]
+    want = _reference(model, 1500)
+    first = scratch_stream(model)
+    held = first.weights(100)
+    assert first.prefix(100) == want[:100]
+    equal = WeightModel(model.dimension, model.coordinate_weights, model.decay, model.interaction_weights)
+    second = WavenumberStream(equal)
+    assert second.model is equal and second.emitted_count == 0
+    assert len(second.enumerated()) == len(first.enumerated()) >= 100  # nothing enumerated again
+    for stream, count in ((second, 600), (first, 300), (second, 1200), (first, 1500), (second, 1500)):
+        assert stream.prefix(count) == want[:count]
+        assert stream.emitted_count == count
+    assert second.entry(1499) == want[1499]
+    assert held.tolist() == [lam for _, lam in want[:100]]
+    # a stream over another model starts from scratch
+    assert len(WavenumberStream(_model_2d()).enumerated()) == 0
+
+
+def test_a_snapshot_of_an_exhausted_stream_serves_as_the_stream(monkeypatch):
+    model = WeightModel(2, (1.0, 0.5), TableDecay((1.0, 0.5, 0.25), 0.0), (1.0, 0.8, 0.6))
+    live = _reference(model, 100)
+    assert scratch_stream(model).prefix(100) == live
+    stream = WavenumberStream(model)
+    assert len(stream.enumerated()) == 16 and stream.emitted_count == 0
+    assert stream.entry(15) == live[15]
+    with pytest.raises(StreamExhausted):
+        stream.entry(16)
+    assert stream.prefix(100) == live
+    # past _SHARED_MAX entries a stream hands nothing on
+    monkeypatch.setattr(enumeration, "_SHARED_MAX", 0)
+    assert scratch_stream(model).prefix(100) == live
+    assert enumeration._shared is None
+    stream = WavenumberStream(model)
+    assert len(stream.enumerated()) == 0
+    assert stream.prefix(100) == live

@@ -31,6 +31,8 @@ from coneapprox import (
 )
 from coneapprox.approximation import _Accumulator, _pilot_bracket_root, _scan, _stop_bound, _TailNorms
 
+from conftest import scratch_stream
+
 # spaces with tail exponents 2, 1, 3 and infinity
 _SPACES = (SpaceConfig(2.0, 1.0), SpaceConfig(math.inf, 1.0), SpaceConfig(3.0, 1.5), SpaceConfig(2.0, 2.0))
 
@@ -75,10 +77,10 @@ def test_tail_norm_is_a_pure_function_of_the_position(model, space, earlier, pro
     used = _TailNorms(space, model, WavenumberStream(model))
     for n in earlier:
         used.tail(n)
-    fresh = _TailNorms(space, model, WavenumberStream(model))
+    fresh = _TailNorms(space, model, scratch_stream(model))
     assert used.tail(probe).hex() == fresh.tail(probe).hex()
     for n in earlier[-3:]:
-        assert used.tail(n).hex() == _TailNorms(space, model, WavenumberStream(model)).tail(n).hex()
+        assert used.tail(n).hex() == _TailNorms(space, model, scratch_stream(model)).tail(n).hex()
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,7 +89,7 @@ def test_tail_floors_never_exceed_the_tail(model, space, start, probe):
     tails = _TailNorms(space, model, WavenumberStream(model))
     tails.tail(probe)  # let the stream grow past start
     floors = tails.floors(start, 10 ** 6)
-    fresh = _TailNorms(space, model, WavenumberStream(model))
+    fresh = _TailNorms(space, model, scratch_stream(model))
     for m in sorted({0, len(floors) // 2, len(floors) - 1} if len(floors) else ()):
         assert floors[m] <= fresh.tail(start + m)
 
