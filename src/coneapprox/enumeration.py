@@ -31,10 +31,10 @@ Two streams over equal models emit the same entries, so a stream starts
 from the enumeration of the stream that last finished a band, when that
 stream's model equals its own and it then held at most ``_SHARED_MAX``
 entries.  The rules of one solve (the pilot and the ball rule, say) so
-enumerate a model once.  What the module keeps for this is a snapshot:
-the factor tables, the bands and the buffers, whose entries up to the
-snapshot's count no stream writes again, and past it, streams over equal
-models write the same values.
+enumerate a model once.  The module keeps a snapshot of that stream: its
+factor tables, bands and buffers.  No stream writes an entry below its own
+count again, and past it, streams over equal models write the same values,
+so streams that share a buffer never change what the other has read.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ _NORMAL = 2.0 ** -900  # times the squared weight ceiling: below it rounding is 
 _ALPHA = 0.5  # assumed log-log slope of the weight count before two bands measure it
 _ALPHA_MIN, _ALPHA_MAX = 0.05, 8.0  # the slopes an extrapolation may use
 _COLLAPSE = 2.0 ** -30  # a threshold bracket this narrow (relative) holds a tie: take it whole
-# shared starting arrays of every stream, never written: a fresh stream only points at them
+# starting arrays common to every stream, never written: a fresh stream only points at them
 _ONE, _NONE, _NO_AXIS = np.ones(1), np.empty(0), np.zeros(1, np.intp)
 for _start in (_ONE, _NONE, _NO_AXIS):
     _start.flags.writeable = False
