@@ -14,7 +14,4 @@ def from_scratch():
     would otherwise time the first round's enumeration only once.
     """
 
-    def forget():
-        enumeration._shared = None
-
-    return forget
+    return enumeration.forget_shared

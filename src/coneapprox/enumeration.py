@@ -29,12 +29,14 @@ and the band is enumerated again.
 
 Two streams over equal models emit the same entries, so a stream starts
 from the enumeration of the stream that last finished a band, when that
-stream's model equals its own and it then held at most ``_SHARED_MAX``
-entries.  The rules of one solve (the pilot and the ball rule, say) so
-enumerate a model once.  The module keeps a snapshot of that stream: its
-factor tables, bands and buffers.  No stream writes an entry below its own
-count again, and past it, streams over equal models write the same values,
-so streams that share a buffer never change what the other has read.
+stream's model equals its own and it holds at most ``_SHARED_MAX`` entries.
+The rules of one solve (the pilot and the ball rule, say) so enumerate a
+model once.  The module keeps a reference to that stream, and a new stream
+copies its factor tables, bands and buffer references.  No stream writes an
+entry below its own count again, and past it, streams over equal models
+write the same values, so streams that share a buffer never change what the
+other has read.  ``forget_shared()`` drops the reference: the next stream
+enumerates from scratch.
 """
 
 from __future__ import annotations
@@ -64,10 +66,15 @@ _COLLAPSE = 2.0 ** -30  # a threshold bracket this narrow (relative) holds a tie
 _ONE, _NONE, _NO_AXIS = np.ones(1), np.empty(0), np.zeros(1, np.intp)
 for _start in (_ONE, _NONE, _NO_AXIS):
     _start.flags.writeable = False
-_SHARED_MAX = 2 ** 15  # most entries a stream hands on: the snapshot kept stays within a few MiB
+_SHARED_MAX = 2 ** 15  # most entries a stream hands on: the buffers kept stay within a few MiB
 _GROWN = ("_tables", "_negated", "_complete", "_bands")  # the lists a stream changes in place
-# (model, enumeration state) of the stream that last finished a band within _SHARED_MAX entries
-_shared: Optional[Tuple[WeightModel, dict]] = None
+_shared: Optional["WavenumberStream"] = None  # the stream that last finished a band within _SHARED_MAX
+
+
+def forget_shared() -> None:
+    """Drop the enumeration handed on: the next stream enumerates from scratch."""
+    global _shared
+    _shared = None
 
 
 class StreamExhausted(IndexError):
@@ -115,14 +122,16 @@ class WavenumberStream:
     """
 
     def __init__(self, model: WeightModel):
-        self.model = model
-        self._served = 0  # entries served
-        shared = _shared
-        if shared is not None and (shared[0] is model or shared[0] == model):
-            vars(self).update(shared[1])
+        source = _shared
+        if source is not None and (source.model is model or source.model == model):
+            vars(self).update(vars(source))
             for name in _GROWN:
-                setattr(self, name, list(shared[1][name]))
+                setattr(self, name, list(getattr(source, name)))
+            self.model = model
+            self._served = 0  # entries served
             return
+        self.model = model
+        self._served = 0
         d = model.dimension
         s1 = model.head_decay()
         boost = [max(1.0, w * s1) for w in model.coordinate_weights]
@@ -201,6 +210,7 @@ class WavenumberStream:
 
     def _next_band(self, target: int) -> None:
         """Enumerate the next band, aiming at ``target`` entries in all."""
+        global _shared
         hi = self._floor
         limit: Optional[int] = 2 * (target - self._count) + 1024
         band = None
@@ -227,15 +237,9 @@ class WavenumberStream:
         self._bands.append((tau, self._count))
         self._exhausted = tau <= _TINIEST
         if self._count <= _SHARED_MAX:
-            self._share()
-
-    def _share(self) -> None:
-        """Hand this enumeration on to the next stream built over an equal model."""
-        global _shared
-        state = {name: value for name, value in vars(self).items() if name not in ("model", "_served")}
-        for name in _GROWN:
-            state[name] = tuple(state[name])
-        _shared = (self.model, state)
+            _shared = self  # handed on to the next stream built over an equal model
+        elif _shared is self:
+            _shared = None
 
     def _estimate(self, target: int) -> float:
         """Threshold below the floor whose weight count should reach ``target``."""

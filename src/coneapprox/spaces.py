@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
+from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -168,11 +168,8 @@ class CoefficientOracle:
         """
         keys = list(zip(*rows.T.tolist()))  # one tuple of ints per row
         memo = self._memo
-        if self._batch is None:
-            fresh = list(filterfalse(memo.__contains__, dict.fromkeys(keys)))  # each new key once, in row order
-        else:
-            index = {k: i for i, k in enumerate(keys) if k not in memo}  # each new key once, with a row of it
-            fresh = list(index)
+        index = {k: i for i, k in enumerate(keys) if k not in memo}  # each new key once, with a row of it
+        fresh = list(index)
         if fresh:
             if self._lookup is not None:
                 values = self._lookup(fresh)

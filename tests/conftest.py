@@ -52,9 +52,15 @@ def rng() -> random.Random:
     return random.Random(0xC0FFEE)
 
 
+@pytest.fixture(autouse=True)
+def _streams_start_from_scratch():
+    """No test starts from the enumeration of a stream another test built."""
+    enumeration.forget_shared()
+
+
 def scratch_stream(model: WeightModel) -> WavenumberStream:
-    """A stream that enumerates from scratch, not from the snapshot an earlier stream left."""
-    enumeration._shared = None
+    """A stream that enumerates from scratch, not from the enumeration of an earlier stream."""
+    enumeration.forget_shared()
     return WavenumberStream(model)
 
 

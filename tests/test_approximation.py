@@ -55,6 +55,7 @@ from conftest import (
     pilot_cone_member,
     random_model,
     random_space,
+    scratch_stream,
     tracking_cone_member,
 )
 
@@ -855,7 +856,7 @@ def test_tracking_tail_norm_memoised_block_norms_are_bitwise_fresh(model):
         tails = _TailNorms(cfg, model, shared)
         for j in range(1, 9):
             memoised = tracking_tail_norm(cfg, model, shared, spec, j, _tails=tails)
-            fresh = tracking_tail_norm(cfg, model, WavenumberStream(model), spec, j)
+            fresh = tracking_tail_norm(cfg, model, scratch_stream(model), spec, j)
             assert memoised == fresh, (cfg, j)
 
 

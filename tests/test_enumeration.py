@@ -82,7 +82,7 @@ def test_ties_break_lexicographically():
 def test_replay_determinism(rng):
     for _ in range(5):
         model = random_model(rng)
-        assert WavenumberStream(model).prefix(500) == WavenumberStream(model).prefix(500)
+        assert scratch_stream(model).prefix(500) == scratch_stream(model).prefix(500)
 
 
 def test_stream_matches_brute_force(rng):
@@ -436,7 +436,19 @@ def test_a_snapshot_of_an_exhausted_stream_serves_as_the_stream(monkeypatch):
     # past _SHARED_MAX entries a stream hands nothing on
     monkeypatch.setattr(enumeration, "_SHARED_MAX", 0)
     assert scratch_stream(model).prefix(100) == live
-    assert enumeration._shared is None
     stream = WavenumberStream(model)
     assert len(stream.enumerated()) == 0
     assert stream.prefix(100) == live
+
+
+def test_a_stream_grown_past_the_limit_is_no_longer_handed_on(monkeypatch):
+    model = _model_2d()
+    want = _reference(model, 2000)
+    first = scratch_stream(model)
+    assert first.prefix(10) == want[:10]
+    monkeypatch.setattr(enumeration, "_SHARED_MAX", len(first.enumerated()))
+    assert len(WavenumberStream(model).enumerated()) == len(first.enumerated())  # handed on
+    assert first.prefix(2000) == want
+    fresh = WavenumberStream(model)
+    assert len(fresh.enumerated()) == 0
+    assert fresh.prefix(2000) == want

@@ -109,12 +109,12 @@ _SCALES = st.one_of(st.floats(0.05, 20.0), st.sampled_from([0.0, math.inf]))
 def test_screened_scan_equals_the_one_position_loop(model, space, scale, tolerance_exponent, start, cap):
     tolerance = 10.0 ** tolerance_exponent
     got = _scan(_TailNorms(space, model, WavenumberStream(model)), scale, tolerance, start, cap)
-    want = _reference_scan(_TailNorms(space, model, WavenumberStream(model)), scale, tolerance, start, cap)
+    want = _reference_scan(_TailNorms(space, model, scratch_stream(model)), scale, tolerance, start, cap)
     assert (got[0], got[1].hex()) == (want[0], want[1].hex())
 
 
 def _reference_least_stop(space, model, factor, radius, tolerance, start, cap):
-    tails = _TailNorms(space, model, WavenumberStream(model))
+    tails = _TailNorms(space, model, scratch_stream(model))
     n, bound = _reference_scan(tails, factor * radius, tolerance, start, cap)
     return n if bound <= tolerance and n <= cap else None
 
@@ -135,7 +135,7 @@ def test_ball_rule_and_cost_bounds_equal_the_one_position_loop(
     tolerance = 10.0 ** tolerance_exponent
     oracle = CoefficientOracle.from_table({})
     out = approximate_on_ball(oracle, WavenumberStream(model), space, model, radius, tolerance, budget_cap=cap)
-    n, bound = _reference_scan(_TailNorms(space, model, WavenumberStream(model)), radius, tolerance, 0, cap)
+    n, bound = _reference_scan(_TailNorms(space, model, scratch_stream(model)), radius, tolerance, 0, cap)
     assert (out.n_used, out.final_error_bound.hex()) == (n, bound.hex())
     assert out.stopped_by == (TOLERANCE_MET if bound <= tolerance else BUDGET_EXHAUSTED)
     assert ball_cost_bound(space, model, radius, tolerance, cap) == _reference_least_stop(
