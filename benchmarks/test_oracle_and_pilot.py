@@ -25,6 +25,11 @@ function is the harness's ``d = 7, seed = 0``, whose coefficient box
   space ``(2, 1)`` and tolerance 1e-6 on a pilot-supported input of full
   norm, whose cost is ``pilot_cost_bound``.  Each round builds a fresh
   stream and a fresh table oracle;
+* ``test_ball_rule_at_tail_exponent_one``: ``approximate_on_ball`` on
+  ``WeightModel(3, (0.6, 0.5, 0.4), AlgebraicDecay(5.0))`` at space
+  ``(inf, 1)``, radius 1 and tolerance 1e-6, a stop at position 841 that
+  the subtraction bound settles, so no window is grown past it.  Each round
+  builds a fresh stream;
 * ``test_ball_cost_bound_deep_in_the_stream``: ``ball_cost_bound`` on
   ``WeightModel(2, (0.9, 0.7), AlgebraicDecay(1.2))`` at space ``(2, 1)``,
   radius 1 and tolerance 1e-3, a scan to position 740,858.
@@ -44,6 +49,7 @@ from coneapprox import (
     SpaceConfig,
     WavenumberStream,
     WeightModel,
+    approximate_on_ball,
     approximate_on_pilot_cone,
     ball_cost_bound,
     infer_weights,
@@ -135,6 +141,20 @@ def test_pilot_rule_at_a_finite_exponent(benchmark, from_scratch):
     outcome = benchmark.pedantic(run, setup=from_scratch, rounds=5)
     assert outcome.stopped_by == TOLERANCE_MET
     assert outcome.n_used == pilot_cost_bound(space, model, spec, seq_norm(ratios, 2.0), 1e-6)
+
+
+def test_ball_rule_at_tail_exponent_one(benchmark, from_scratch):
+    space = SpaceConfig(math.inf, 1.0)
+    model = WeightModel(3, (0.6, 0.5, 0.4), AlgebraicDecay(5.0))
+
+    def run():
+        return approximate_on_ball(
+            CoefficientOracle.from_table({}), WavenumberStream(model), space, model, 1.0, 1e-6
+        )
+
+    outcome = benchmark.pedantic(run, setup=from_scratch, rounds=20)
+    assert outcome.stopped_by == TOLERANCE_MET
+    assert outcome.n_used == 841 == ball_cost_bound(space, model, 1.0, 1e-6)
 
 
 def test_ball_cost_bound_deep_in_the_stream(benchmark, from_scratch):

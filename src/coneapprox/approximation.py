@@ -94,7 +94,10 @@ class ApproxOutcome:
     ``terms`` lists sampled ``(wavenumber, coefficient)`` pairs in stream
     order; ``n_used`` is the oracle's distinct-query count at return;
     ``final_error_bound`` is the certificate at the stop (``None`` for a
-    plain fixed-length truncation, void when ``cone_violated``).
+    plain fixed-length truncation, void when ``cone_violated``).  The ball
+    and pilot rules report the bound that settled their stop: the scale
+    times the subtraction bound of the tail norm where that product is
+    within the tolerance, else the scale times ``tail_weight_norm``.
     """
 
     terms: tuple
@@ -347,7 +350,9 @@ class _TailNorms:
     beyond the round-off clamp raise.
 
     ``floors`` bounds ``tail`` from below over the entries the stream has
-    enumerated, so a scan can skip the positions that cannot stop.
+    enumerated, so a scan can skip the positions that cannot stop, and
+    ``subtraction`` bounds it from above without a window, so a stop test
+    grows one only where that bound does not settle the stop.
     """
 
     def __init__(self, config: SpaceConfig, model: WeightModel, stream: WavenumberStream):
@@ -380,24 +385,38 @@ class _TailNorms:
         self._windows: dict = {}
 
     def tail(self, n: int) -> float:
+        """The tight value: ``subtraction(n)``, or a window's value where a window may lower it.
+
+        ``tail_weight_norm`` returns it.  A stop test asks for it only where
+        the subtraction bound does not settle the stop (``_stop_bound``), so
+        a rule's certificate may be that bound instead.
+        """
+        root, loose = self.subtraction(n)
+        return min(root, self._windowed(n)) if loose else root
+
+    def subtraction(self, n: int) -> Tuple[float, bool]:
+        """The empty window's value, an upper bound of ``tail(n)``, and whether a window may lower it.
+
+        At a finite exponent it is ``(total - S_n + slack)**(1/p)``, rounded
+        up; a window may lower it only while the slack is more than
+        ``_TIGHT`` of the value.  At an infinite exponent it is ``tail(n)``.
+        """
         if n < 0:
             raise ValueError("tail position must be nonnegative")
         if math.isinf(self.exponent):
             weights = self.stream.weights(n + 1)
-            return float(weights[n]) if len(weights) > n else 0.0
+            return (float(weights[n]) if len(weights) > n else 0.0), False
         self._extend(n)
         if len(self._sums) <= n:  # the stream ends before n: nothing remains
-            return 0.0
+            return 0.0, False
         remainder = self.total - float(self._sums[n])
         if remainder < -_CLAMP * max(self.total, 1.0):
             raise ArithmeticError(
                 f"tail power sum went negative beyond round-off at n={n}: {remainder!r}"
             )
         slack = self._slack
-        root = _pow_up(remainder + slack, 1.0 / self.exponent)  # the empty window
-        if slack > _TIGHT * (remainder + slack) and self._aux is not None:
-            root = min(root, self._windowed(n))
-        return root
+        root = _pow_up(remainder + slack, 1.0 / self.exponent)
+        return root, slack > _TIGHT * (remainder + slack) and self._aux is not None
 
     def floors(self, n: int, cap: int) -> np.ndarray:
         """Lower bounds of ``tail(m)`` for ``m`` from ``n`` up to ``cap`` or the last entry enumerated.
@@ -569,12 +588,21 @@ def prefix_approximation(
 
 
 def _stop_bound(tails: _TailNorms, scale: float, tolerance: float, n: int, cap: int) -> Optional[float]:
-    """Certificate ``scale * tail(n)`` if a rule stops at ``n``, else None.
+    """Certificate at ``n`` if a rule stops there, else None.
 
-    A rule stops when that bound is within the tolerance, at the cap, or at
-    the end of the stream, where the bound is 0.0 even at an infinite scale.
+    A rule stops when ``scale * tail(n)`` is within the tolerance, at the
+    cap, or at the end of the stream, where the bound is 0.0 even at an
+    infinite scale.  The subtraction bound is tried first: ``tail(n)`` is
+    at most it, so where ``scale`` times it is within the tolerance the rule
+    stops at the same ``n`` and reports that product, a certificate within
+    the tolerance though perhaps above ``scale * tail(n)``.  Only where it
+    does not settle the stop is a window grown, and the bound is then
+    ``scale * tail(n)``.
     """
-    bound = scale * tails.tail(n)
+    root, loose = tails.subtraction(n)
+    bound = scale * root
+    if loose and not bound <= tolerance:
+        bound = scale * tails.tail(n)
     if bound <= tolerance or n >= cap:
         return bound
     if len(tails.stream.weights(n + 1)) <= n:
@@ -753,7 +781,8 @@ def approximate_on_pilot_cone(
         _, violated = _pilot_bracket_root(p, spec.inflation, pilot_norm, top)
     else:
         power_acc = _Accumulator()
-        power_acc.running(r ** p for r in ratios)
+        for r in ratios:  # a handful of values: scalar steps beat running's array set-up
+            power_acc.add(r ** p)
         pilot_sum = power_acc.value
         violated = False
         floors: list = []  # tail floors from position lo on, as in _scan

@@ -1,5 +1,6 @@
 """Shared builders for randomized test inputs."""
 
+import contextlib
 import math
 import random
 
@@ -13,6 +14,7 @@ from coneapprox import (
     WeightModel,
 )
 from coneapprox import enumeration
+from coneapprox.approximation import _TailNorms
 
 
 def random_model(rng: random.Random, max_dim: int = 4, min_rate: float = 1.5) -> WeightModel:
@@ -62,6 +64,36 @@ def scratch_stream(model: WeightModel) -> WavenumberStream:
     """A stream that enumerates from scratch, not from the enumeration of an earlier stream."""
     enumeration.forget_shared()
     return WavenumberStream(model)
+
+
+@contextlib.contextmanager
+def tail_calls():
+    """Log ``(name, n)`` of each ``_TailNorms.subtraction`` and ``tail`` call, on its return.
+
+    A full tail logs the subtraction it starts from first, so a stop test
+    that took the full tail at ``n`` ends the log with ``("tail", n)``.
+    """
+    calls = []
+
+    def traced(name):
+        method = getattr(_TailNorms, name)
+
+        def call(self, n):
+            value = method(self, n)
+            calls.append((name, n))
+            return value
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("subtraction", "tail"):
+            patch.setattr(_TailNorms, name, traced(name))
+        yield calls
+
+
+def settled_by_subtraction(calls) -> bool:
+    """Whether the last stop test of a traced rule stopped without taking the full tail."""
+    return not calls or calls[-1][0] != "tail"
 
 
 def stream_entries(model: WeightModel, count: int):

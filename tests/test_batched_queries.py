@@ -4,10 +4,13 @@ At an infinite ratio exponent the pilot rule finds its stop from the tail
 norms alone and then samples the whole extension in one batch.  A copy of
 the one-query-per-step loop it replaced is kept below as the reference:
 every outcome field and the oracle's memo must match it exactly, and the
-rule's tail-norm calls must be some of the reference's, in its order, ending
-at the same position.
+rule's tail-norm calls (subtraction bounds and full tails) must be some of
+the reference's, in its order, ending at the same call.  The same loop with
+the full ``tail(n)`` in every stop test, as the rules had before they tried
+the subtraction bound first, checks that the stops did not move.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -35,9 +38,18 @@ from coneapprox import (
 from coneapprox.approximation import _Accumulator, _pilot_bracket_root, _TailNorms
 from coneapprox.enumeration import StreamExhausted
 
+from conftest import settled_by_subtraction, tail_calls
 
-def _reference_pilot(oracle, stream, config, model, spec, tolerance, budget_cap=DEFAULT_BUDGET_CAP):
-    """The pilot rule with one ``stream.entry(n)`` and one query per step."""
+
+def _reference_pilot(
+    oracle, stream, config, model, spec, tolerance, budget_cap=DEFAULT_BUDGET_CAP, full_tail=False
+):
+    """The pilot rule with one ``stream.entry(n)`` and one query per step.
+
+    Each stop test tries ``scale`` times the subtraction bound first and
+    takes ``scale * tail(n)`` only where that does not settle the stop; with
+    ``full_tail`` it takes ``scale * tail(n)`` at every position.
+    """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
     if spec.pilot_size > budget_cap:
@@ -58,7 +70,14 @@ def _reference_pilot(oracle, stream, config, model, spec, tolerance, budget_cap=
         partial_sum = sup_ratio if math.isinf(p) else power_acc.value
         root, bad = _pilot_bracket_root(p, spec.inflation, pilot_sum, partial_sum)
         violated = violated or bad
-        bound = pilot_norm * root * tails.tail(n)
+        scale = pilot_norm * root
+        if full_tail:
+            bound = scale * tails.tail(n)
+        else:
+            rung, loose = tails.subtraction(n)
+            bound = scale * rung
+            if loose and not bound <= tolerance:
+                bound = scale * tails.tail(n)
         if bound <= tolerance or n >= budget_cap:
             stopped = TOLERANCE_MET if bound <= tolerance else BUDGET_EXHAUSTED
             break
@@ -144,15 +163,7 @@ def _pilot_cases(draw):
 def _run_traced(rule, case, kind):
     model, space, spec, table, tolerance, cap = case
     oracle = _oracle(kind, table)
-    calls = []
-    tail = _TailNorms.tail
-
-    def traced(self, n):
-        calls.append(n)
-        return tail(self, n)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_TailNorms, "tail", traced)
+    with tail_calls() as calls:
         out = rule(oracle, WavenumberStream(model), space, model, spec, tolerance, budget_cap=cap)
     return out, list(oracle._memo.items()), calls
 
@@ -185,10 +196,49 @@ def test_pilot_rule_equals_the_one_query_per_step_loop(case, kind):
     assert (got.stopped_by, got.cone_violated) == (want.stopped_by, want.cone_violated)
     assert [(k, c.hex()) for k, c in got_memo] == [(k, c.hex()) for k, c in want_memo]
     # the rule screens positions that cannot stop, so it asks for some of the
-    # reference's tail norms only, in order, and for the same last one
+    # reference's subtraction bounds and tail norms only, in order, and for
+    # the same last one
     remaining = iter(want_calls)
     assert all(n in remaining for n in got_calls)
     assert got_calls[-1:] == want_calls[-1:]
+
+
+def _window_tie(space, m):
+    """A pilot-supported input whose tolerance is the rule's full-tail certificate at ``m``.
+
+    At the positions used, a window lowers ``tail(m)`` below the subtraction
+    bound, so only the full tail settles the stop there.
+    """
+    model = WeightModel(1, (0.7,), AlgebraicDecay(3.0))
+    spec = PilotConeSpec(2, 1.5)
+    table = {k: 0.5 * lam for k, lam in WavenumberStream(model).prefix(2)}
+    p = space.ratio_exponent
+    scale = seq_norm([0.5, 0.5], p) * _pilot_bracket_root(p, spec.inflation, 1.0, 1.0)[0]
+    tails = _TailNorms(space, model, WavenumberStream(model))
+    assert tails.tail(m) < tails.subtraction(m)[0]
+    return model, space, spec, table, scale * tails.tail(m), 3000
+
+
+@settings(max_examples=200, deadline=None)
+@example(case=_OVERFLOW, kind="table")
+@example(case=_OVERFLOW_LATE, kind="array")
+@example(case=_window_tie(SpaceConfig(2.0, 1.0), 14), kind="table")
+@example(case=_window_tie(SpaceConfig(3.0, 1.5), 21), kind="array")
+@given(case=_pilot_cases(), kind=st.sampled_from(["table", "array"]))
+def test_pilot_rule_stops_where_the_full_tail_loop_stops(case, kind):
+    # the subtraction bound is at least tail(n), so trying it first moves no
+    # stop; the certificate is the full-tail one unless that bound settled
+    # the stop, and then lies between it and the tolerance
+    full_tail = functools.partial(_reference_pilot, full_tail=True)
+    want, want_memo, _ = _run_traced(full_tail, case, kind)
+    got, got_memo, got_calls = _run_traced(approximate_on_pilot_cone, case, kind)
+    assert [(k, c.hex()) for k, c in got.terms] == [(k, c.hex()) for k, c in want.terms]
+    assert [(k, c.hex()) for k, c in got_memo] == [(k, c.hex()) for k, c in want_memo]
+    assert (got.n_used, got.stopped_by, got.cone_violated) == (want.n_used, want.stopped_by, want.cone_violated)
+    if got.stopped_by == TOLERANCE_MET and settled_by_subtraction(got_calls):
+        assert want.final_error_bound <= got.final_error_bound <= case[4]
+    else:
+        assert got.final_error_bound.hex() == want.final_error_bound.hex()
 
 
 @settings(max_examples=200, deadline=None)
