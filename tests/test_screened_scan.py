@@ -205,7 +205,7 @@ def test_ball_rule_and_cost_bounds_stop_where_the_full_tail_loop_stops(
         assert out.final_error_bound.hex() == bound.hex()
     spec = PilotConeSpec(pilot_size, inflation)
     factor, _ = _pilot_bracket_root(space.ratio_exponent, inflation, 1.0, 1.0)
-    for got, want_stop in [
+    for got, (scale, level, start) in [
         (ball_cost_bound(space, model, radius, tolerance, cap), (1.0, tolerance, 0)),
         (pilot_cost_bound(space, model, spec, radius, tolerance, cap), (factor, tolerance, pilot_size)),
         (
@@ -213,7 +213,6 @@ def test_ball_rule_and_cost_bounds_stop_where_the_full_tail_loop_stops(
             (1.0 - 1.0 / inflation, 2.0 * tolerance, pilot_size),
         ),
     ]:
-        scale, level, start = want_stop
         assert got == _reference_least_stop(space, model, scale, radius, level, start, cap, scan=_full_tail_scan)
 
 
