@@ -12,7 +12,12 @@ Tier-1 does not collect this directory (``testpaths = ["tests"]``).
   selection window;
 * ``test_tracking_tail_norm``: ``tracking_tail_norm`` for blocks
   ``j = 1 .. 5`` on a fresh stream of a d=3, rate-3 model at space
-  ``(2, 1)`` with block decay 0.6, so each round enumerates the stream anew.
+  ``(2, 1)`` with block decay 0.6, so each round enumerates the stream anew;
+* ``test_tracking_tail_norm_one_entry_blocks``: ``tracking_tail_norm`` for
+  blocks ``j = 1 .. 40`` of one-entry arithmetic blocks (block decay 0.9)
+  on one tail engine over a fresh stream of a d=2, rate-3 model at space
+  ``(2, 1)``, where every block walks over the positions the blocks before
+  it asked for.
 """
 
 import math
@@ -29,6 +34,7 @@ from coneapprox import (
     probe_wavenumbers,
     tracking_tail_norm,
 )
+from coneapprox.approximation import _TailNorms
 
 D, SEED = 7, 0
 
@@ -57,3 +63,17 @@ def test_tracking_tail_norm(benchmark, from_scratch):
 
     tails = benchmark.pedantic(run, setup=from_scratch, rounds=5)
     assert all(a >= b > 0.0 for a, b in zip(tails, tails[1:]))
+
+
+def test_tracking_tail_norm_one_entry_blocks(benchmark, from_scratch):
+    model = WeightModel(2, (0.9, 0.7), AlgebraicDecay(3.0))
+    space = SpaceConfig(2.0, 1.0)
+    spec = TrackingConeSpec(start=1, inflation=1.5, decay=0.9, kind="arithmetic", step=1)
+
+    def run():
+        stream = WavenumberStream(model)
+        tails = _TailNorms(space, model, stream)
+        return [tracking_tail_norm(space, model, stream, spec, j, _tails=tails) for j in range(1, 41)]
+
+    tails = benchmark.pedantic(run, setup=from_scratch, rounds=5)
+    assert all(value > 0.0 for value in tails)

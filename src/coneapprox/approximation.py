@@ -80,7 +80,6 @@ _TIGHT = 2.0 ** -26
 _WINDOW_CAP = 8192  # longest window summed term by term
 _CELL_BITS = 7  # positions sharing their top bits share a window: a cell is at most 1/64 of its start
 _CELL_WIDTH = 256  # widest cell
-_WINDOW_MEMO = 4  # windows kept
 _NORMAL = sys.float_info.min / _EPS  # smallest scaled sum kept at full precision
 _TIE_SLACK = 1.0 + 1e-12
 _BLOCK_CAP = 64  # most blocks the tracking cost bound and complexity floor examine
@@ -343,9 +342,10 @@ class _TailNorms:
     cap ``_WINDOW_CAP`` entries on (certified, but then not within
     ``_TIGHT``).  A position the cell's window does not serve tightly gets a
     window of its own, chosen the same way.  Which window serves ``n`` so
-    depends on ``n`` alone, and the few windows kept are only a memo: a
-    value never depends on the queries before it.  Every sum carries its
-    own error bound, and every root is rounded upward by ``_pow_up``, so no
+    depends on ``n`` alone, and no value depends on the queries before it:
+    values are kept by position, and only the last cell's window besides,
+    for the next positions of a forward scan.  Every sum carries its own
+    error bound, and every root is rounded upward by ``_pow_up``, so no
     exponent, however large, lets a value undershoot.  Negative subtractions
     beyond the round-off clamp raise.
 
@@ -361,6 +361,7 @@ class _TailNorms:
         self.stream = stream
         self.config = config
         self._blocks: dict = {}  # (spec, j) -> block_weight_norm, filled by block_norm
+        self._values: dict = {}  # n -> tail(n), exact as the value is pure
         p = self.exponent = config.tail_exponent
         if math.isinf(p):
             self.total = None
@@ -380,9 +381,9 @@ class _TailNorms:
         self._aux = next(((q, t) for q, t in grid if math.isfinite(t)), None)
         self._q_sums = np.zeros(1)  # q_sums[i]: sequential sum of the first i auxiliary powers
         self._close = (_TIGHT / (1.0 - _TIGHT)) ** (1.0 / p)  # share of the window norm
-        # (start, last position served) -> (start, end, head weight, scaled suffix sums,
-        # bound past the end (root), capped), for the latest few windows
-        self._windows: dict = {}
+        # ((start, last position served), (start, end, head weight, scaled suffix
+        # sums, bound past the end (root), capped)) of the last cell served
+        self._cell: tuple = (None, None)
 
     def tail(self, n: int) -> float:
         """The tight value: ``subtraction(n)``, or a window's value where a window may lower it.
@@ -391,8 +392,11 @@ class _TailNorms:
         the subtraction bound does not settle the stop (``_stop_bound``), so
         a rule's certificate may be that bound instead.
         """
-        root, loose = self.subtraction(n)
-        return min(root, self._windowed(n)) if loose else root
+        value = self._values.get(n)
+        if value is None:
+            root, loose = self.subtraction(n)
+            value = self._values[n] = min(root, self._windowed(n)) if loose else root
+        return value
 
     def subtraction(self, n: int) -> Tuple[float, bool]:
         """The empty window's value, an upper bound of ``tail(n)``, and whether a window may lower it.
@@ -468,9 +472,6 @@ class _TailNorms:
         powers = new ** p
         self._powers = np.concatenate((self._powers, powers))
         self._sums = np.concatenate((self._sums, self._acc.running(powers)))
-        if self._aux is not None:
-            q_powers = np.concatenate((self._q_sums[-1:], new ** self._aux[0]))
-            self._q_sums = np.concatenate((self._q_sums, np.add.accumulate(q_powers)[1:]))
 
     def _windowed(self, n: int) -> float:
         """``(S(n, N) + auxiliary bound at N)**(1/p)`` over the window that serves ``n``."""
@@ -478,9 +479,12 @@ class _TailNorms:
             return 0.0
         width = min(1 << max(0, n.bit_length() - _CELL_BITS), _CELL_WIDTH)
         start = n - n % width
-        value = self._serve(self._window(start, start + width - 1), n)
+        cell = start, start + width - 1
+        if self._cell[0] != cell:
+            self._cell = cell, self._grow(*cell)
+        value = self._serve(self._cell[1], n)
         if value is None:  # the cell's window is loose at n: n gets its own
-            value = self._serve(self._window(n, n), n)
+            value = self._serve(self._grow(n, n), n)
         return value
 
     def _serve(self, window: tuple, n: int) -> Optional[float]:
@@ -495,16 +499,6 @@ class _TailNorms:
         norm = head * _pow_up(scaled * (1.0 + (end - n + p + 2) * _EPS), 1.0 / p)
         top = max(norm, rest)
         return top * _pow_up((norm / top) ** p + (rest / top) ** p, 1.0 / p) * _ROOT_SLACK
-
-    def _window(self, start: int, last: int) -> tuple:
-        """The window from ``start`` that serves positions up to ``last``, from the memo if kept."""
-        key = (start, last)
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows[key] = self._grow(start, last)
-            if len(self._windows) > _WINDOW_MEMO:
-                del self._windows[next(iter(self._windows))]
-        return window
 
     def _grow(self, start: int, last: int) -> tuple:
         """Window from ``start`` closing at the first scheduled end past ``last`` that serves ``last``.
@@ -531,6 +525,10 @@ class _TailNorms:
             j = int(np.searchsorted(ends, len(ahead)))  # ends[i:j] have a weight past them
             top = int(ends[j - 1])
             self._extend(top + 1)
+            have, size = len(self._q_sums) - 1, len(self._sums) - 1
+            if have < size:  # the auxiliary powers are formed only where a window screens them
+                q_powers = np.concatenate((self._q_sums[-1:], stream.enumerated()[have:size] ** q))
+                self._q_sums = np.concatenate((self._q_sums, np.add.accumulate(q_powers)[1:]))
             new = (ahead[start + len(forward) - 1 : top] / head) ** p
             forward = np.concatenate((forward, np.add.accumulate(np.concatenate((forward[-1:], new)))[1:]))
             candidates = ends[i:j]
@@ -927,6 +925,8 @@ def tracking_tail_norm(
     t = config.solution_exponent
     b = spec.decay
     tails = _tails if _tails is not None else _TailNorms(config, model, stream)
+    if (tails.stream, tails.config, stream.model) != (stream, config, model):
+        raise ValueError("the tail engine was built over another stream, config or model")
     acc = _Accumulator()
     sup = 0.0
     b_pow = 1.0

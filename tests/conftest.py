@@ -70,8 +70,9 @@ def scratch_stream(model: WeightModel) -> WavenumberStream:
 def tail_calls():
     """Log ``(name, n)`` of each ``_TailNorms.subtraction`` and ``tail`` call, on its return.
 
-    A full tail logs the subtraction it starts from first, so a stop test
-    that took the full tail at ``n`` ends the log with ``("tail", n)``.
+    A full tail logs the subtraction it starts from first, unless its value
+    is already kept by position; either way a stop test that took the full
+    tail at ``n`` ends the log with ``("tail", n)``.
     """
     calls = []
 

@@ -843,14 +843,23 @@ _PINNED_TABLE_MODEL = WeightModel(
 )
 
 
+_PINNED_SPEC = TrackingConeSpec(start=2, inflation=1.5, decay=0.3864313923200817)
+# one-entry blocks: every block asks for the tail at the next position
+_ONE_ENTRY_MODEL = WeightModel(2, (0.9, 0.7), AlgebraicDecay(3.0))
+_ONE_ENTRY_SPEC = TrackingConeSpec(start=1, inflation=1.5, decay=0.9, kind="arithmetic", step=1)
+
+
 @pytest.mark.parametrize(
-    "model",
-    (_PINNED_TABLE_MODEL, WeightModel(2, (0.8, 0.5), AlgebraicDecay(3.0), (1.0, 0.9, 0.7))),
-    ids=("table", "algebraic"),
+    ("model", "spec"),
+    (
+        (_PINNED_TABLE_MODEL, _PINNED_SPEC),
+        (WeightModel(2, (0.8, 0.5), AlgebraicDecay(3.0), (1.0, 0.9, 0.7)), _PINNED_SPEC),
+        (_ONE_ENTRY_MODEL, _ONE_ENTRY_SPEC),
+    ),
+    ids=("table", "algebraic", "one-entry-blocks"),
 )
-def test_tracking_tail_norm_memoised_block_norms_are_bitwise_fresh(model):
+def test_tracking_tail_norm_memoised_block_norms_are_bitwise_fresh(model, spec):
     # one shared tail engine memoises block norms across j; fresh calls share nothing
-    spec = TrackingConeSpec(start=2, inflation=1.5, decay=0.3864313923200817)
     for cfg in (SpaceConfig(math.inf, 1.0), SpaceConfig(2.0, 1.0), SpaceConfig(2.0, 2.0)):
         shared = WavenumberStream(model)
         tails = _TailNorms(cfg, model, shared)
@@ -858,6 +867,65 @@ def test_tracking_tail_norm_memoised_block_norms_are_bitwise_fresh(model):
             memoised = tracking_tail_norm(cfg, model, shared, spec, j, _tails=tails)
             fresh = tracking_tail_norm(cfg, model, scratch_stream(model), spec, j)
             assert memoised == fresh, (cfg, j)
+
+
+def _grown_windows(monkeypatch) -> list:
+    """Log ``(engine, start, last)`` of every window a tail engine grows."""
+    grown = []
+    grow = _TailNorms._grow
+
+    def logged(self, start, last):
+        grown.append((self, start, last))  # the engine itself, as a freed engine's id recurs
+        return grow(self, start, last)
+
+    monkeypatch.setattr(_TailNorms, "_grow", logged)
+    return grown
+
+
+def test_a_tail_engine_grows_each_window_once(monkeypatch):
+    # tail values are kept by position and scans move forward, so no window
+    # is grown twice; a four-window memo grew 3,720 windows for 109 in the walk
+    grown = _grown_windows(monkeypatch)
+    cfg = SpaceConfig(2.0, 1.0)
+    stream = WavenumberStream(_ONE_ENTRY_MODEL)
+    tails = _TailNorms(cfg, _ONE_ENTRY_MODEL, stream)
+    for j in range(1, 41):
+        tracking_tail_norm(cfg, _ONE_ENTRY_MODEL, stream, _ONE_ENTRY_SPEC, j, _tails=tails)
+    assert len(set(grown)) == len(grown) > 100
+    # a solve that grew 71 windows for 8 under that memo
+    del grown[:]
+    model = WeightModel(2, (0.9, 0.7), AlgebraicDecay(2.0))
+    spec = TrackingConeSpec(start=1, inflation=1.5, decay=0.8)
+    entries = WavenumberStream(model).prefix(spec.size(14))
+    table = {}
+    for j in range(1, 15):  # one coefficient per block, decaying faster than the cone
+        k, lam = entries[spec.block_range(j)[0]]
+        table[k] = lam * 0.4 ** j
+    out = approximate_on_tracking_cone(
+        CoefficientOracle.from_table(table), WavenumberStream(model), cfg, model, spec, 1e-6
+    )
+    assert out.stopped_by == TOLERANCE_MET and not out.cone_violated
+    assert len(set(grown)) == len(grown) > 4
+
+
+def test_tracking_tail_norm_rejects_an_engine_over_other_inputs():
+    # an engine over another model returned 0.0275 here, below the certified 0.0816
+    model = WeightModel(2, (0.8, 0.5), AlgebraicDecay(3.0))
+    other = WeightModel(2, (0.5, 0.5), AlgebraicDecay(4.0))
+    cfg = SpaceConfig(2.0, 1.0)
+    spec = TrackingConeSpec(start=1, inflation=1.5, decay=0.5)
+    stream = WavenumberStream(model)
+    for tails in (
+        _TailNorms(cfg, other, WavenumberStream(other)),
+        _TailNorms(cfg, model, WavenumberStream(model)),
+        _TailNorms(SpaceConfig(2.0, 2.0), model, stream),
+    ):
+        with pytest.raises(ValueError, match="another stream, config or model"):
+            tracking_tail_norm(cfg, model, stream, spec, 2, _tails=tails)
+    with pytest.raises(ValueError, match="another stream, config or model"):
+        tracking_tail_norm(cfg, other, stream, spec, 2, _tails=_TailNorms(cfg, model, stream))
+    got = tracking_tail_norm(cfg, model, stream, spec, 2, _tails=_TailNorms(cfg, model, stream))
+    assert got == tracking_tail_norm(cfg, model, scratch_stream(model), spec, 2) > 0.08
 
 
 def test_tracking_tail_norm_never_undershoots_truncated_tables():
