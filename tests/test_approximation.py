@@ -869,8 +869,9 @@ def test_tracking_tail_norm_memoised_block_norms_are_bitwise_fresh(model, spec):
             assert memoised == fresh, (cfg, j)
 
 
-def _grown_windows(monkeypatch) -> list:
-    """Log ``(engine, start, last)`` of every window a tail engine grows."""
+def test_a_tail_engine_grows_each_window_once(monkeypatch):
+    # tail values are kept by position and scans move forward, so no window
+    # is grown twice; a four-window memo grew 3,720 windows for 109 in the walk
     grown = []
     grow = _TailNorms._grow
 
@@ -879,13 +880,6 @@ def _grown_windows(monkeypatch) -> list:
         return grow(self, start, last)
 
     monkeypatch.setattr(_TailNorms, "_grow", logged)
-    return grown
-
-
-def test_a_tail_engine_grows_each_window_once(monkeypatch):
-    # tail values are kept by position and scans move forward, so no window
-    # is grown twice; a four-window memo grew 3,720 windows for 109 in the walk
-    grown = _grown_windows(monkeypatch)
     cfg = SpaceConfig(2.0, 1.0)
     stream = WavenumberStream(_ONE_ENTRY_MODEL)
     tails = _TailNorms(cfg, _ONE_ENTRY_MODEL, stream)
