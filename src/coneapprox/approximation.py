@@ -78,9 +78,6 @@ _ROOT_SLACK = 1.0 + 8.0 * _EPS  # upward rounding of a few arithmetic steps on a
 # power; subtraction so serves while the tail keeps about 2**-20 of the total.
 _TIGHT = 2.0 ** -26
 _WINDOW_CAP = 8192  # longest window summed term by term
-_CELL_BITS = 7  # positions sharing their top bits share a window: a cell is at most 1/64 of its start
-_CELL_WIDTH = 256  # widest cell
-_NORMAL = sys.float_info.min / _EPS  # smallest scaled sum kept at full precision
 _TIE_SLACK = 1.0 + 1e-12
 _BLOCK_CAP = 64  # most blocks the tracking cost bound and complexity floor examine
 _WALK_GUARD = 65536  # stream position past which a tracking tail norm takes its remainder bound
@@ -334,20 +331,16 @@ class _TailNorms:
     of two reads ``min(subtraction at n, S(n, N) + auxiliary bound at N)``.
 
     The window is empty (plain subtraction plus slack) while the slack is at
-    most ``_TIGHT`` of the value.  Else the positions sharing their top
-    ``_CELL_BITS`` bits form a cell (at most ``_CELL_WIDTH`` wide), and the
-    window starts at the cell's first position.  Its end is the first of the
-    scheduled ends ``_WINDOW_ENDS`` past the cell where the auxiliary bound
-    is at most ``_TIGHT`` of the value at the cell's last position, or the
-    cap ``_WINDOW_CAP`` entries on (certified, but then not within
-    ``_TIGHT``).  A position the cell's window does not serve tightly gets a
-    window of its own, chosen the same way.  Which window serves ``n`` so
-    depends on ``n`` alone, and no value depends on the queries before it:
-    values are kept by position, and only the last cell's window besides,
-    for the next positions of a forward scan.  Every sum carries its own
-    error bound, and every root is rounded upward by ``_pow_up``, so no
-    exponent, however large, lets a value undershoot.  Negative subtractions
-    beyond the round-off clamp raise.
+    most ``_TIGHT`` of the value.  Else it starts at ``n`` itself, and its
+    end is the first of the scheduled ends ``_WINDOW_ENDS`` past ``n`` where
+    the auxiliary bound is at most ``_TIGHT`` of the value, the end of the
+    stream (nothing remains past it), or the cap ``_WINDOW_CAP`` entries on
+    (certified, but then not within ``_TIGHT``).  Which window serves ``n``
+    so depends on ``n`` alone, and no value depends on the queries before
+    it: values are kept by position, so no window is grown twice.  Every
+    sum carries its own error bound, and every root is rounded upward by
+    ``_pow_up``, so no exponent, however large, lets a value undershoot.
+    Negative subtractions beyond the round-off clamp raise.
 
     ``floors`` bounds ``tail`` from below over the entries the stream has
     enumerated, so a scan can skip the positions that cannot stop, and
@@ -381,9 +374,6 @@ class _TailNorms:
         self._aux = next(((q, t) for q, t in grid if math.isfinite(t)), None)
         self._q_sums = np.zeros(1)  # q_sums[i]: sequential sum of the first i auxiliary powers
         self._close = (_TIGHT / (1.0 - _TIGHT)) ** (1.0 / p)  # share of the window norm
-        # ((start, last position served), (start, end, head weight, scaled suffix
-        # sums, bound past the end (root), capped)) of the last cell served
-        self._cell: tuple = (None, None)
 
     def tail(self, n: int) -> float:
         """The tight value: ``subtraction(n)``, or a window's value where a window may lower it.
@@ -395,7 +385,7 @@ class _TailNorms:
         value = self._values.get(n)
         if value is None:
             root, loose = self.subtraction(n)
-            value = self._values[n] = min(root, self._windowed(n)) if loose else root
+            value = self._values[n] = min(root, self._window(n)) if loose else root
         return value
 
     def subtraction(self, n: int) -> Tuple[float, bool]:
@@ -443,9 +433,11 @@ class _TailNorms:
         if math.isinf(self.exponent):
             return ahead[n:hi]
         self._extend(len(ahead))
-        # a sum of count positive powers, each within two ulps, errs by under (count + 2) ulps
+        # a sum of count positive powers, each within two ulps, errs by under count + 2 ulps,
+        # and below the normal range an ulp is the smallest subnormal, which no factor removes
+        ulps = len(ahead) - np.arange(n, hi) + 2.0
         inside = np.cumsum(self._powers[n:][::-1])[::-1][: hi - n]
-        inside *= 1.0 - (len(ahead) - np.arange(n, hi) + 2) * _EPS
+        inside = inside * (1.0 - ulps * _EPS) - 2.0 * ulps * math.ulp(0.0)
         power = np.maximum(inside, (self.total - self._sums[n:hi]) - 2.0 * self._slack)
         with np.errstate(divide="ignore", invalid="ignore"):
             root = power ** (1.0 / self.exponent)
@@ -473,86 +465,58 @@ class _TailNorms:
         self._powers = np.concatenate((self._powers, powers))
         self._sums = np.concatenate((self._sums, self._acc.running(powers)))
 
-    def _windowed(self, n: int) -> float:
-        """``(S(n, N) + auxiliary bound at N)**(1/p)`` over the window that serves ``n``."""
-        if len(self.stream.weights(n + 1)) == n:
-            return 0.0
-        width = min(1 << max(0, n.bit_length() - _CELL_BITS), _CELL_WIDTH)
-        start = n - n % width
-        cell = start, start + width - 1
-        if self._cell[0] != cell:
-            self._cell = cell, self._grow(*cell)
-        value = self._serve(self._cell[1], n)
-        if value is None:  # the cell's window is loose at n: n gets its own
-            value = self._serve(self._grow(n, n), n)
-        return value
-
-    def _serve(self, window: tuple, n: int) -> Optional[float]:
-        """The window's value at ``n``, or None where it is not within ``_TIGHT`` of it."""
-        p = self.exponent
-        start, end, head, suffix, rest, capped = window
-        scaled = float(suffix[n - start])  # S(n, end) / head**p
-        # a capped window may not grow, so it serves as it is (certified, if loose)
-        if scaled < _NORMAL or not (capped or rest <= self._close * head * scaled ** (1.0 / p)):
-            return None
-        # each of the end - n terms is within (p/2 + 1) ulps, their sum within end - n ulps
-        norm = head * _pow_up(scaled * (1.0 + (end - n + p + 2) * _EPS), 1.0 / p)
-        top = max(norm, rest)
-        return top * _pow_up((norm / top) ** p + (rest / top) ** p, 1.0 / p) * _ROOT_SLACK
-
-    def _grow(self, start: int, last: int) -> tuple:
-        """Window from ``start`` closing at the first scheduled end past ``last`` that serves ``last``.
+    def _window(self, n: int) -> float:
+        """``(S(n, N) + auxiliary bound at N)**(1/p)`` over the window from ``n`` to its end ``N``.
 
         The scheduled ends are screened together over the entries enumerated,
         with the forward sums of the window's powers, and the first that
-        passes is confirmed with the reverse sums the window serves from.
+        passes is confirmed with its certified bound past the end.
         """
         p, stream = self.exponent, self.stream
+        if len(stream.weights(n + 1)) == n:
+            return 0.0
         q, q_total = self._aux
         lift = (p - q) / p  # within an ulp, where 1 - q/p could be off by 8
-        head = float(stream.weights(start + 1)[start])
-        ends = start + _WINDOW_ENDS[_WINDOW_ENDS > last - start]
-        cap = start + _WINDOW_CAP
-        forward = np.zeros(1)  # forward[i]: S(start, start + i) / head**p
-        i = 0
+        head = float(stream.enumerated()[n])
+        ends = n + _WINDOW_ENDS  # those not yet screened
+        forward = np.zeros(1)  # forward[i]: S(n, n + i) / head**p, summed in sequence
         while True:
+            if len(stream.enumerated()) <= ends[0]:
+                stream.weights(int(ends[0]) + 1)
             ahead = stream.enumerated()
-            if len(ahead) <= ends[i]:
-                ahead = stream.weights(int(ends[i]) + 1)
-                if len(ahead) <= ends[i]:  # the stream ends here: nothing remains past it
-                    return self._closed(start, len(ahead), head, 0.0, False)
-                ahead = stream.enumerated()
-            j = int(np.searchsorted(ends, len(ahead)))  # ends[i:j] have a weight past them
-            top = int(ends[j - 1])
+            j = int(np.searchsorted(ends, len(ahead)))  # ends[:j] have a weight past them
+            top = int(ends[j - 1]) if j else len(ahead)
+            new = (ahead[n + len(forward) - 1 : top] / head) ** p
+            forward = np.concatenate((forward, np.add.accumulate(np.concatenate((forward[-1:], new)))[1:]))
+            if not j:  # the stream ends before ends[0]: nothing remains past it
+                return self._value(head, float(forward[-1]), top - n, 0.0)
             self._extend(top + 1)
             have, size = len(self._q_sums) - 1, len(self._sums) - 1
             if have < size:  # the auxiliary powers are formed only where a window screens them
                 q_powers = np.concatenate((self._q_sums[-1:], stream.enumerated()[have:size] ** q))
                 self._q_sums = np.concatenate((self._q_sums, np.add.accumulate(q_powers)[1:]))
-            new = (ahead[start + len(forward) - 1 : top] / head) ** p
-            forward = np.concatenate((forward, np.add.accumulate(np.concatenate((forward[-1:], new)))[1:]))
-            candidates = ends[i:j]
-            # an estimate first, made a little lenient; the window built is then checked exactly
-            scaled = forward[candidates - start] - forward[last - start]
-            # the first end q-powers are within an ulp each and sum to within
-            # end - 1 ulps of q_sums[end], in any order of summation
+            candidates, ends = ends[:j], ends[j:]
+            scaled = forward[candidates - n]
+            # the first end q-powers, within an ulp each, sum to within end - 1 ulps of q_sums[end]
             q_left = q_total * (1.0 + _SLACK) - self._q_sums[candidates] * (1.0 - (candidates + 1) * _EPS)
+            # an estimate first, made a little lenient; each end it passes is then checked exactly
             with np.errstate(divide="ignore", invalid="ignore"):
                 rest = ahead[candidates] ** lift * np.maximum(q_left, 0.0) ** (1.0 / p) * (1.0 - 2.0 ** -20)
-                passes = (rest <= self._close * head * scaled ** (1.0 / p)) | (candidates >= cap)
+                passes = (rest <= self._close * head * scaled ** (1.0 / p)) | (candidates - n >= _WINDOW_CAP)
             for at in np.flatnonzero(passes).tolist():
                 end = int(candidates[at])
-                left = max(float(q_left[at]), 0.0)
-                rest = _pow_up(float(ahead[end]), lift) * _pow_up(left, 1.0 / p) * _ROOT_SLACK
-                window = self._closed(start, end, head, rest, end >= cap)
-                if end >= cap or self._serve(window, last) is not None:
-                    return window
-            i = j
+                rest = _pow_up(float(ahead[end]), lift) * _pow_up(max(float(q_left[at]), 0.0), 1.0 / p) * _ROOT_SLACK
+                # a capped window may not grow, so it serves as it is (certified, if loose)
+                if end - n >= _WINDOW_CAP or rest <= self._close * head * float(scaled[at]) ** (1.0 / p):
+                    return self._value(head, float(scaled[at]), end - n, rest)
 
-    def _closed(self, start: int, end: int, head: float, rest: float, capped: bool) -> tuple:
-        """The window ``start..end-1`` with its reverse cumulative sums, the form it serves from."""
-        scaled = (self.stream.weights(end)[start:end] / head) ** self.exponent
-        return start, end, head, np.cumsum(scaled[::-1])[::-1], rest, capped
+    def _value(self, head: float, scaled: float, count: int, rest: float) -> float:
+        """``(head**p * scaled + rest**p)**(1/p)``, rounded up, for ``scaled`` a sum of ``count`` powers."""
+        p = self.exponent
+        # each of the count terms is within (p/2 + 1) ulps, their sum within count ulps
+        norm = head * _pow_up(scaled * (1.0 + (count + p + 2) * _EPS), 1.0 / p)
+        top = max(norm, rest)
+        return top * _pow_up((norm / top) ** p + (rest / top) ** p, 1.0 / p) * _ROOT_SLACK
 
 
 def tail_weight_norm(

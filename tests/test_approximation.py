@@ -136,7 +136,7 @@ def test_tail_norm_clamps_round_off():
 
 def _exact_tail_powers(model, p):
     """Exact ``sum(lam**p)`` past every depth of a finite stream, for integer ``p``."""
-    powers = [Fraction(lam) ** p for _, lam in WavenumberStream(model).prefix(10 ** 4)]
+    powers = [Fraction(lam) ** p for lam in WavenumberStream(model).weights(10 ** 6).tolist()]
     tails = [Fraction(0)]
     for value in reversed(powers):
         tails.append(tails[-1] + value)
@@ -198,6 +198,63 @@ def test_tail_norm_never_undershoots_truncated_tables(model, cfg):
     stream = WavenumberStream(model)
     for n, tail_power in enumerate(_exact_tail_powers(model, p)):
         assert Fraction(tail_weight_norm(cfg, model, stream, n)) ** p >= tail_power
+
+
+# long truncated tables whose deep positions need windows, most of which close
+# before the end of the stream, where the auxiliary bound covers what lies past
+_LONG_TABLE_SPACES = (
+    (WeightModel(2, (0.9, 0.6), TableDecay(tuple(0.7 ** i for i in range(40)), 0.0)), SpaceConfig(2.0, 1.0)),
+    (WeightModel(2, (0.9, 0.6), TableDecay(tuple(0.8 ** i for i in range(100)), 0.0)), SpaceConfig(math.inf, 1.0)),
+)
+
+
+@pytest.mark.parametrize(("model", "cfg"), _LONG_TABLE_SPACES, ids=("1681-entries-p2", "10201-entries-p1"))
+def test_tail_norm_never_undershoots_where_windows_close_early(monkeypatch, model, cfg):
+    # without the window sum's allowance the p = 1 table undershot at 121 positions
+    early = []
+    value = _TailNorms._value
+
+    def logged(self, head, scaled, count, rest):
+        early.append(rest > 0.0)  # a bound past the window's end: it closed before the stream's
+        return value(self, head, scaled, count, rest)
+
+    monkeypatch.setattr(_TailNorms, "_value", logged)
+    p = int(cfg.tail_exponent)
+    tails = _TailNorms(cfg, model, WavenumberStream(model))
+    for n, tail_power in enumerate(_exact_tail_powers(model, p)):
+        assert Fraction(tails.tail(n)) ** p >= tail_power
+    assert sum(early) > 0
+
+
+def _floors_exceed_exact(model, cfg):
+    """Positions whose floor, over a fully enumerated stream, lies above the exact tail."""
+    p = int(cfg.tail_exponent)
+    stream = WavenumberStream(model)
+    stream.weights(10 ** 6)  # every weight past each position is enumerated: the tightest floors
+    floors = _TailNorms(cfg, model, stream).floors(0, 10 ** 6).tolist()
+    exact = _exact_tail_powers(model, p)
+    assert len(floors) == len(exact) - 1
+    return [m for m, floor in enumerate(floors) if Fraction(floor) ** p > exact[m]]
+
+
+_PINNED_64 = WeightModel(3, (0.9, 0.6, 0.3), TableDecay((1.0, 0.5, 0.2), 0.0))
+
+
+@pytest.mark.parametrize(
+    ("model", "cfg"),
+    ((_PINNED_64, SpaceConfig(3.0, 1.5)), (_PINNED_64, SpaceConfig(math.inf, 400.0))) + _LONG_TABLE_SPACES,
+    ids=("64-entries-p3", "64-entries-p400", "1681-entries-p2", "10201-entries-p1"),
+)
+def test_tail_floors_never_exceed_the_exact_tail(model, cfg):
+    # against the exact tail, not tail(), which rounds up; at p = 400 the powers
+    # past position 12 are subnormal, and a relative rounding alone left its floor above
+    assert not _floors_exceed_exact(model, cfg)
+
+
+@settings(max_examples=60, deadline=5000)
+@given(model=_truncated_models(), cfg=st.sampled_from(_INTEGER_TAIL_SPACES))
+def test_tail_floors_never_exceed_the_exact_tail_of_truncated_tables(model, cfg):
+    assert not _floors_exceed_exact(model, cfg)
 
 
 def test_tail_norm_non_increasing(rng):
@@ -870,16 +927,17 @@ def test_tracking_tail_norm_memoised_block_norms_are_bitwise_fresh(model, spec):
 
 
 def test_a_tail_engine_grows_each_window_once(monkeypatch):
-    # tail values are kept by position and scans move forward, so no window
-    # is grown twice; a four-window memo grew 3,720 windows for 109 in the walk
+    # a window starts at its own position and values are kept by position, so no
+    # engine grows a position's window twice; a four-window memo grew 3,720 windows
+    # for 109 in the walk
     grown = []
-    grow = _TailNorms._grow
+    window = _TailNorms._window
 
-    def logged(self, start, last):
-        grown.append((self, start, last))  # the engine itself, as a freed engine's id recurs
-        return grow(self, start, last)
+    def logged(self, n):
+        grown.append((self, n))  # the engine itself, as a freed engine's id recurs
+        return window(self, n)
 
-    monkeypatch.setattr(_TailNorms, "_grow", logged)
+    monkeypatch.setattr(_TailNorms, "_window", logged)
     cfg = SpaceConfig(2.0, 1.0)
     stream = WavenumberStream(_ONE_ENTRY_MODEL)
     tails = _TailNorms(cfg, _ONE_ENTRY_MODEL, stream)
