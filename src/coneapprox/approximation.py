@@ -333,14 +333,14 @@ class _TailNorms:
     The window is empty (plain subtraction plus slack) while the slack is at
     most ``_TIGHT`` of the value.  Else it starts at ``n`` itself, and its
     end is the first of the scheduled ends ``_WINDOW_ENDS`` past ``n`` where
-    the auxiliary bound is at most ``_TIGHT`` of the value, the end of the
-    stream (nothing remains past it), or the cap ``_WINDOW_CAP`` entries on
-    (certified, but then not within ``_TIGHT``).  Which window serves ``n``
-    so depends on ``n`` alone, and no value depends on the queries before
-    it: values are kept by position, so no window is grown twice.  Every
-    sum carries its own error bound, and every root is rounded upward by
-    ``_pow_up``, so no exponent, however large, lets a value undershoot.
-    Negative subtractions beyond the round-off clamp raise.
+    the auxiliary bound, unrounded, is at most ``_TIGHT`` of the value, the
+    end of the stream (nothing remains past it), or the cap ``_WINDOW_CAP``
+    entries on (certified, but then not within ``_TIGHT``).  Which window
+    serves ``n`` so depends on ``n`` alone, and no value depends on the
+    queries before it: values are kept by position, so no window is grown
+    twice.  Every sum carries its own error bound, and every root is rounded
+    upward by ``_pow_up``, so no exponent, however large, lets a value
+    undershoot.  Negative subtractions beyond the round-off clamp raise.
 
     ``floors`` bounds ``tail`` from below over the entries the stream has
     enumerated, so a scan can skip the positions that cannot stop, and
@@ -468,9 +468,8 @@ class _TailNorms:
     def _window(self, n: int) -> float:
         """``(S(n, N) + auxiliary bound at N)**(1/p)`` over the window from ``n`` to its end ``N``.
 
-        The scheduled ends are screened together over the entries enumerated,
-        with the forward sums of the window's powers, and the first that
-        passes is confirmed with its certified bound past the end.
+        The scheduled ends are screened together, unrounded: which end closes
+        the window is no part of the certificate, as its value is rounded up.
         """
         p, stream = self.exponent, self.stream
         if len(stream.weights(n + 1)) == n:
@@ -490,25 +489,22 @@ class _TailNorms:
             forward = np.concatenate((forward, np.add.accumulate(np.concatenate((forward[-1:], new)))[1:]))
             if not j:  # the stream ends before ends[0]: nothing remains past it
                 return self._value(head, float(forward[-1]), top - n, 0.0)
-            self._extend(top + 1)
-            have, size = len(self._q_sums) - 1, len(self._sums) - 1
-            if have < size:  # the auxiliary powers are formed only where a window screens them
-                q_powers = np.concatenate((self._q_sums[-1:], stream.enumerated()[have:size] ** q))
+            have = len(self._q_sums) - 1
+            if have < top:  # the auxiliary powers are formed only where a window screens them
+                q_powers = np.concatenate((self._q_sums[-1:], ahead[have : max(top, 2 * have)] ** q))
                 self._q_sums = np.concatenate((self._q_sums, np.add.accumulate(q_powers)[1:]))
             candidates, ends = ends[:j], ends[j:]
             scaled = forward[candidates - n]
             # the first end q-powers, within an ulp each, sum to within end - 1 ulps of q_sums[end]
             q_left = q_total * (1.0 + _SLACK) - self._q_sums[candidates] * (1.0 - (candidates + 1) * _EPS)
-            # an estimate first, made a little lenient; each end it passes is then checked exactly
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rest = ahead[candidates] ** lift * np.maximum(q_left, 0.0) ** (1.0 / p) * (1.0 - 2.0 ** -20)
-                passes = (rest <= self._close * head * scaled ** (1.0 / p)) | (candidates - n >= _WINDOW_CAP)
-            for at in np.flatnonzero(passes).tolist():
-                end = int(candidates[at])
-                rest = _pow_up(float(ahead[end]), lift) * _pow_up(max(float(q_left[at]), 0.0), 1.0 / p) * _ROOT_SLACK
-                # a capped window may not grow, so it serves as it is (certified, if loose)
-                if end - n >= _WINDOW_CAP or rest <= self._close * head * float(scaled[at]) ** (1.0 / p):
-                    return self._value(head, float(scaled[at]), end - n, rest)
+            rest = ahead[candidates] ** lift * np.maximum(q_left, 0.0) ** (1.0 / p)
+            # a capped window may not grow, so it serves as it is (certified, if loose)
+            passes = (rest <= self._close * head * scaled ** (1.0 / p)) | (candidates - n >= _WINDOW_CAP)
+            if passes.any():
+                at = int(np.argmax(passes))
+                left = _pow_up(max(float(q_left[at]), 0.0), 1.0 / p)
+                rest = _pow_up(float(ahead[candidates[at]]), lift) * left * _ROOT_SLACK
+                return self._value(head, float(scaled[at]), int(candidates[at]) - n, rest)
 
     def _value(self, head: float, scaled: float, count: int, rest: float) -> float:
         """``(head**p * scaled + rest**p)**(1/p)``, rounded up, for ``scaled`` a sum of ``count`` powers."""
